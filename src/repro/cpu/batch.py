@@ -60,7 +60,6 @@ from ..ir import types as T
 from ..workloads.common import outputs_match
 from .errors import Trap
 from .interpreter import FaultPlan, Machine, MachineSnapshot
-from .memory import HEAP_BASE, STACK_BASE
 from .resumable import rebuild_frames, restore_payload, run_stack
 
 #: Outcome <-> wire code for the lane report pipe (enum member order).
@@ -138,17 +137,18 @@ class LockstepTrace:
 
 def _state_digest(M: Machine, inst) -> bytes:
     """Digest of everything that determines the run's future from this
-    eligible event: memory contents and tops, program output, resume
-    position (current instruction + call-site chain), and the register
-    files of every live decoded frame. Deliberately excluded — cache,
-    predictor, timing, and perf counters other than ``corrections``:
-    they never feed back into values or control flow, and outcome
-    classification reads only ``corrections`` (tracked separately in
-    the checkpoint record)."""
+    eligible event: the memory image and tops (stale stack bytes above
+    the top included, since a later alloca can read them), program
+    output, resume position (current instruction + call-site chain),
+    and the register files of every live decoded frame. Deliberately
+    excluded — cache, predictor, timing, and perf counters other than
+    ``corrections``: they never feed back into values or control flow,
+    and outcome classification reads only ``corrections`` (tracked
+    separately in the checkpoint record)."""
     mem = M.memory
     h = blake2b(digest_size=16)
-    h.update(memoryview(mem._heap)[: mem.heap_top - HEAP_BASE])
-    h.update(memoryview(mem._stack)[: mem.stack_top - STACK_BASE])
+    for part in mem.image():
+        h.update(part)
     meta = (id(inst), mem.heap_top, mem.stack_top, M._depth,
             tuple(M._call_sites), tuple(M.output))
     h.update(repr(meta).encode())

@@ -659,8 +659,8 @@ class ResumeState:
     itself.
     """
 
-    heap: bytes
-    stack_mem: bytes
+    heap: bytes        # Memory.image(): the heap up to heap_top,
+    stack_mem: bytes   # and the stack up to its high-water mark
     heap_top: int
     stack_top: int
     output: tuple
@@ -693,9 +693,10 @@ def capture_state(M, stack: List[Frame], executed: int) -> ResumeState:
             times=tuple(f.times),
             mark=f.mark,
         ))
+    heap, stack_mem = mem.image()
     return ResumeState(
-        heap=bytes(memoryview(mem._heap)[:mem.heap_top - HEAP_BASE]),
-        stack_mem=bytes(memoryview(mem._stack)[:mem.stack_top - STACK_BASE]),
+        heap=heap,
+        stack_mem=stack_mem,
         heap_top=mem.heap_top,
         stack_top=mem.stack_top,
         output=tuple(M.output),
@@ -720,19 +721,8 @@ def restore_payload(M, state: ResumeState) -> None:
     checkpoint serves any number of resumes. Leaves the machine with no
     plans armed, no hooks, ``count_only`` off — callers arm what they
     need (:func:`arm_resume`) before :func:`rebuild_frames`."""
-    mem = M.memory
-    heap_used = state.heap_top - HEAP_BASE
-    cur_heap = mem.heap_top - HEAP_BASE
-    mem._heap[:heap_used] = state.heap
-    if cur_heap > heap_used:
-        mem._heap[heap_used:cur_heap] = bytes(cur_heap - heap_used)
-    stack_used = state.stack_top - STACK_BASE
-    cur_stack = mem.stack_top - STACK_BASE
-    mem._stack[:stack_used] = state.stack_mem
-    if cur_stack > stack_used:
-        mem._stack[stack_used:cur_stack] = bytes(cur_stack - stack_used)
-    mem.heap_top = state.heap_top
-    mem.stack_top = state.stack_top
+    M.memory.install(state.heap, state.stack_mem, state.heap_top,
+                     state.stack_top)
     M.output = list(state.output)
     M.counters = copy.deepcopy(state.counters)
     M.cache = copy.deepcopy(state.cache)

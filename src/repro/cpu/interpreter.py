@@ -60,7 +60,7 @@ from .errors import (
     MemoryFault,
     Trap,
 )
-from .memory import HEAP_BASE, STACK_BASE, Memory
+from .memory import HEAP_BASE, Memory
 from .timing import TimingModel
 
 _MASK64 = (1 << 64) - 1
@@ -347,10 +347,11 @@ class MachineSnapshot:
 
     Opaque to callers; its only contract is the
     ``snapshot → run → restore → run`` bit-identity round trip. Memory
-    is stored as the *used* heap/stack prefixes, so a snapshot of a
-    freshly constructed machine costs the laid-out globals, not the
-    configured capacities — cheap enough to take one per injection
-    session and restore per injection."""
+    is stored as a :meth:`Memory.image` (heap to its top, stack to its
+    high-water mark), so a snapshot of a freshly constructed machine
+    costs the laid-out globals, not the configured capacities — cheap
+    enough to take one per injection session and restore per
+    injection."""
 
     heap: bytes
     stack: bytes
@@ -810,20 +811,20 @@ class Machine:
         Valid only while no ``run()`` is in progress (the live Python
         call stack of a run cannot be captured). Everything a later
         :meth:`restore` needs to make the next run bit-identical to a
-        run from this point is copied: the used prefixes of heap and
-        stack, the output list, counters, cache, predictor and timing
-        state, branch-PC numbering, the instruction budget cursor, and
-        the complete fault-plumbing state (plans, cursors, stream
-        counters, hooks). Pure caches that cannot affect results
-        (``_static_info``, ``_eligible_fn_cache``, the module's decoded
-        form) are deliberately *not* part of a snapshot.
+        run from this point is copied: the memory image (heap to its
+        top, stack to its high-water mark), the output list, counters,
+        cache, predictor and timing state, branch-PC numbering, the
+        instruction budget cursor, and the complete fault-plumbing
+        state (plans, cursors, stream counters, hooks). Pure caches
+        that cannot affect results (``_static_info``,
+        ``_eligible_fn_cache``, the module's decoded form) are
+        deliberately *not* part of a snapshot.
         """
         mem = self.memory
-        heap_used = mem.heap_top - HEAP_BASE
-        stack_used = mem.stack_top - STACK_BASE
+        heap, stack = mem.image()
         return MachineSnapshot(
-            heap=bytes(memoryview(mem._heap)[:heap_used]),
-            stack=bytes(memoryview(mem._stack)[:stack_used]),
+            heap=heap,
+            stack=stack,
             heap_top=mem.heap_top,
             stack_top=mem.stack_top,
             output=list(self.output),
@@ -853,22 +854,13 @@ class Machine:
         """Return the machine to a state captured by :meth:`snapshot`;
         the next ``run()`` is bit-identical to one started right after
         the snapshot was taken (the round-trip property test pins
-        this). Memory the machine touched *after* the snapshot is
-        re-zeroed, so a restored machine is indistinguishable from a
-        fresh one with the snapshot replayed onto it."""
-        mem = self.memory
-        heap_used = snap.heap_top - HEAP_BASE
-        cur_heap = mem.heap_top - HEAP_BASE
-        mem._heap[:heap_used] = snap.heap
-        if cur_heap > heap_used:
-            mem._heap[heap_used:cur_heap] = bytes(cur_heap - heap_used)
-        stack_used = snap.stack_top - STACK_BASE
-        cur_stack = mem.stack_top - STACK_BASE
-        mem._stack[:stack_used] = snap.stack
-        if cur_stack > stack_used:
-            mem._stack[stack_used:cur_stack] = bytes(cur_stack - stack_used)
-        mem.heap_top = snap.heap_top
-        mem.stack_top = snap.stack_top
+        this). The snapshot's memory image is installed exactly: heap and
+        stack bytes the machine wrote *after* the snapshot, including
+        stale stack bytes above the top, are dropped, so a restored
+        machine is indistinguishable from a fresh one with the snapshot
+        replayed onto it."""
+        self.memory.install(snap.heap, snap.stack, snap.heap_top,
+                            snap.stack_top)
         self.output = list(snap.output)
         self.counters = copy.deepcopy(snap.counters)
         self.cache = copy.deepcopy(snap.cache)

@@ -6,6 +6,29 @@ A single address space with two bump-allocated regions:
 - the *stack* (allocas), growing up from ``STACK_BASE`` with LIFO
   save/restore around function calls.
 
+Both regions are *lazy*: a fresh :class:`Memory` holds no bytes, and
+each allocation grows its buffer to the new top, zero-filled. The
+configured capacities only bound how far the tops may move, so a
+machine costs the bytes its program actually allocates. Two invariants
+hold at all times:
+
+- ``len(_heap) == heap_top - HEAP_BASE`` (the heap is never freed);
+- ``len(_stack)`` is the stack's *high-water mark*: the highest
+  ``stack_top - STACK_BASE`` reached since construction or the last
+  :meth:`Memory.install`. ``stack_release`` lowers the top but keeps
+  the bytes above it, so a re-allocated slot sees the stale contents
+  its previous owner left, as on real hardware.
+
+Every access is bounds-checked against the tops, never the buffer
+lengths, so the stale stack bytes above ``stack_top`` are unreachable
+until an allocation maps them again.
+
+A memory *image* is the pair of buffers, heap and stack up to its
+high-water mark (:meth:`Memory.image`). Snapshots and checkpoints
+store images and :meth:`Memory.install` puts one back exactly, stale
+stack bytes included, so a restored machine behaves like the one that
+was captured.
+
 Addresses below ``HEAP_BASE`` are never mapped, so small corrupted
 pointers fault like a null-page access would. The memory subsystem is
 assumed ECC-protected (paper §III-A): the fault injector never flips
@@ -18,7 +41,7 @@ form; floats as IEEE-754.
 from __future__ import annotations
 
 import struct
-from typing import Union
+from typing import Tuple, Union
 
 from ..ir import types as T
 from .errors import MemoryFault
@@ -33,10 +56,13 @@ class Memory:
     def __init__(self, heap_capacity: int = 64 << 20, stack_capacity: int = 8 << 20):
         self.heap_capacity = heap_capacity
         self.stack_capacity = stack_capacity
-        self._heap = bytearray(heap_capacity)
-        self._stack = bytearray(stack_capacity)
+        self._heap = bytearray()
+        self._stack = bytearray()
         self.heap_top = HEAP_BASE
         self.stack_top = STACK_BASE
+        # Absolute address of the stack's high-water mark, so the grow
+        # test in stack_alloc is one integer compare.
+        self._stack_end = STACK_BASE
 
     # Allocation ---------------------------------------------------------------
 
@@ -45,20 +71,26 @@ class Memory:
         if size < 0:
             raise ValueError("negative allocation")
         addr = _align_up(self.heap_top, align)
-        if addr + size - HEAP_BASE > self.heap_capacity:
+        top = addr + size
+        if top - HEAP_BASE > self.heap_capacity:
             raise MemoryError(
                 f"simulated heap exhausted ({self.heap_capacity} bytes)"
             )
-        self.heap_top = addr + size
+        self._heap += bytes(top - self.heap_top)
+        self.heap_top = top
         return addr
 
     def stack_alloc(self, size: int, align: int = 8) -> int:
         addr = _align_up(self.stack_top, align)
-        if addr + size - STACK_BASE > self.stack_capacity:
-            raise MemoryError(
-                f"simulated stack exhausted ({self.stack_capacity} bytes)"
-            )
-        self.stack_top = addr + size
+        top = addr + size
+        if top > self._stack_end:
+            if top - STACK_BASE > self.stack_capacity:
+                raise MemoryError(
+                    f"simulated stack exhausted ({self.stack_capacity} bytes)"
+                )
+            self._stack += bytes(top - self._stack_end)
+            self._stack_end = top
+        self.stack_top = top
         return addr
 
     def stack_mark(self) -> int:
@@ -66,6 +98,45 @@ class Memory:
 
     def stack_release(self, mark: int) -> None:
         self.stack_top = mark
+
+    # Images -------------------------------------------------------------------
+
+    def image(self) -> Tuple[bytes, bytes]:
+        """Copy of the memory: the heap up to ``heap_top`` and the stack
+        up to its high-water mark. With the two tops it is everything
+        :meth:`install` needs to reproduce this memory exactly."""
+        return bytes(self._heap), bytes(self._stack)
+
+    def check_image(self, heap: bytes, stack: bytes,
+                    heap_top: int, stack_top: int) -> None:
+        """Raise ``ValueError`` unless :meth:`install` would accept the
+        image: the heap spans exactly ``HEAP_BASE..heap_top``, the stack
+        covers ``STACK_BASE..stack_top``, and both fit the capacities."""
+        if len(heap) != heap_top - HEAP_BASE:
+            raise ValueError(
+                f"heap image holds {len(heap)} bytes, "
+                f"top implies {heap_top - HEAP_BASE}"
+            )
+        if not 0 <= stack_top - STACK_BASE <= len(stack):
+            raise ValueError(
+                f"stack image holds {len(stack)} bytes, "
+                f"top implies {stack_top - STACK_BASE}"
+            )
+        if len(heap) > self.heap_capacity or len(stack) > self.stack_capacity:
+            raise ValueError("memory image exceeds the configured capacity")
+
+    def install(self, heap: bytes, stack: bytes,
+                heap_top: int, stack_top: int) -> None:
+        """Replace the memory with an image from :meth:`image`. The
+        buffers take the image's lengths, so bytes written since the
+        capture (above either top, or above the stack's old high-water
+        mark) are gone, not merely zeroed."""
+        self.check_image(heap, stack, heap_top, stack_top)
+        self._heap[:] = heap
+        self._stack[:] = stack
+        self.heap_top = heap_top
+        self.stack_top = stack_top
+        self._stack_end = STACK_BASE + len(stack)
 
     # Raw access ----------------------------------------------------------------
 

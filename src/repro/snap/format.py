@@ -15,8 +15,14 @@ string that any process holding the same module build can restore:
 * floats are stored as raw IEEE-754 bits (``<d``) so resumed timing
   and register values are bit-exact, never ``repr``-rounded.
 
+The memory is stored as a :meth:`~repro.cpu.memory.Memory.image`: the
+heap up to its top and the stack up to its high-water mark, so stale
+stack bytes above the top resume exactly as a from-scratch run leaves
+them.
+
 The format is versioned (:data:`SNAP_VERSION` inside :data:`MAGIC`'d
-header); readers reject unknown versions and truncated payloads with
+header); readers reject unknown versions, truncated payloads and
+memory images the reader's machine could not install with
 :class:`SnapFormatError`, which stores treat as a cache miss.
 """
 
@@ -35,7 +41,7 @@ from ..cpu.resumable import FrameState, ResumeState
 from ..cpu.timing import TimingModel
 
 MAGIC = b"RSNP"
-SNAP_VERSION = 1
+SNAP_VERSION = 2
 
 _F64 = struct.Struct("<d")
 
@@ -328,6 +334,10 @@ def deserialize_state(data: bytes, machine) -> ResumeState:
     stack_mem = r.raw()
     heap_top = r.varint()
     stack_top = r.varint()
+    try:
+        machine.memory.check_image(heap, stack_mem, heap_top, stack_top)
+    except ValueError as exc:
+        raise SnapFormatError(f"bad memory image: {exc}") from None
     output = r.value()
     counters = r.value()
     cache = r.value()

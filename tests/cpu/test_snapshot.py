@@ -16,7 +16,7 @@ boundary resumes to the identical completion.
 
 import pytest
 
-from repro.cpu import Machine, MachineConfig
+from repro.cpu import STACK_BASE, Machine, MachineConfig
 from repro.cpu.errors import Trap
 from repro.cpu.interpreter import FaultPlan
 from repro.cpu.resumable import (
@@ -27,7 +27,11 @@ from repro.cpu.resumable import (
     run_resumable,
     run_stack,
 )
+from repro.ir import Module
+from repro.ir import types as T
 from repro.toolchain import default_toolchain
+
+from ..conftest import make_function
 
 WORKLOADS = [("histogram", "native"), ("histogram", "elzar"),
              ("blackscholes", "native"), ("blackscholes", "elzar")]
@@ -252,3 +256,60 @@ class TestResumableTrampoline:
                          result.counters.as_dict(),
                          machine.fault_injected))
         assert runs[0] == runs[1] == runs[2]
+
+
+def _stale_slot_module():
+    """``main`` calls ``writer`` (stores 7 into an alloca), then
+    ``reader`` (loads an uninitialized alloca in the same stack slot).
+    From scratch, ``reader`` sees the 7 ``writer`` left behind."""
+    module = Module("stale")
+    writer, wb = make_function(module, "writer", T.I64, [])
+    wb.store(wb.i64(7), wb.alloca(T.I64))
+    wb.ret(wb.i64(0))
+    reader, rb = make_function(module, "reader", T.I64, [])
+    rb.ret(rb.load(T.I64, rb.alloca(T.I64)))
+    main, mb = make_function(module, "main", T.I64, [])
+    mb.call(writer, [])
+    x = mb.add(mb.i64(1), mb.i64(2))
+    mb.add(x, mb.i64(3))
+    mb.ret(mb.call(reader, []))
+    return module
+
+
+STALE_ENGINES = ["reference", "compiled"]
+
+
+class TestStaleStackBytes:
+    """Bytes a released frame left above the stack top are part of the
+    state: a later alloca reads them, so snapshots and checkpoints must
+    carry them and restores must drop any the captured machine lacked."""
+
+    @pytest.mark.parametrize("engine", STALE_ENGINES)
+    def test_checkpoint_between_calls_resumes_like_scratch(self, engine):
+        module = _stale_slot_module()
+        config = MachineConfig(engine=engine, collect_timing=False)
+        assert Machine(module, config).run("main").value == 7
+
+        cap = Machine(module, config)
+        cap.count_only = True
+        policy = _TakeOnce(2)
+        run_resumable(cap, "main", (), capture=policy)
+        state = policy.states[0]
+        # Captured after writer returned and before reader was called.
+        assert [f.fn for f in state.frames] == ["main"]
+        assert state.stack_top == STACK_BASE
+
+        result = resume_run(Machine(module, config), state, ())
+        assert result.value == 7
+
+    @pytest.mark.parametrize("engine", STALE_ENGINES)
+    def test_restore_drops_stack_bytes_written_after_snapshot(self, engine):
+        module = _stale_slot_module()
+        config = MachineConfig(engine=engine, collect_timing=False)
+        machine = Machine(module, config)
+        snap = machine.snapshot()
+        machine.run("writer")
+        machine.restore(snap)
+        fresh = Machine(module, config)
+        assert fresh.run("reader").value == 0
+        assert machine.run("reader").value == 0

@@ -6,9 +6,11 @@ machine configs (cache, predictor, timing) — and any corruption is a
 :class:`SnapFormatError`, never a silently wrong state.
 """
 
+from dataclasses import replace
+
 import pytest
 
-from repro.cpu import Machine, MachineConfig
+from repro.cpu import STACK_BASE, Machine, MachineConfig
 from repro.cpu.interpreter import FaultPlan
 from repro.cpu.resumable import resume_run, run_resumable
 from repro.snap.format import (
@@ -93,3 +95,51 @@ class TestRoundTrip:
             deserialize_state(blob[:10], machine)
         with pytest.raises(SnapFormatError):
             deserialize_state(b"XXXX" + blob[4:], machine)
+
+
+class TestMemoryImageValidation:
+    """A decoded image the reader's machine could not install exactly is
+    a format error (a store miss), never a short buffer under a mapped
+    range."""
+
+    @pytest.fixture(scope="class")
+    def captured(self):
+        built = default_toolchain().build("histogram", "test", "native")
+        config = MachineConfig(engine="decoded", collect_timing=False)
+        machine, state = _capture(built.module, built.entry, built.args,
+                                  config)
+        return built, config, machine, state
+
+    @pytest.mark.parametrize("change", [
+        lambda s: {"heap": s.heap[:-8]},                 # truncated heap
+        lambda s: {"heap": s.heap + bytes(8)},           # padded heap
+        lambda s: {"stack_mem": b"",                     # stack short of top
+                   "stack_top": s.stack_top + 16},
+        lambda s: {"stack_top": STACK_BASE - 8},         # top below base
+    ], ids=["heap-truncated", "heap-padded", "stack-truncated",
+            "stack-top-below-base"])
+    def test_inconsistent_image_rejected(self, captured, change):
+        _, _, machine, state = captured
+        blob = serialize_state(replace(state, **change(state)), machine)
+        with pytest.raises(SnapFormatError):
+            deserialize_state(blob, machine)
+
+    def test_image_beyond_reader_capacity_rejected(self, captured):
+        built, config, machine, state = captured
+        padded = replace(state, heap=state.heap + bytes(64),
+                         heap_top=state.heap_top + 64,
+                         stack_mem=state.stack_mem + bytes(64))
+        blob = serialize_state(padded, machine)
+        deserialize_state(blob, machine)  # consistent: accepted
+        for small in ({"heap_capacity": len(state.heap)},
+                      {"stack_capacity": len(state.stack_mem)}):
+            reader = Machine(built.module, replace(config, **small))
+            with pytest.raises(SnapFormatError):
+                deserialize_state(blob, reader)
+
+    def test_stack_above_top_round_trips(self, captured):
+        _, _, machine, state = captured
+        stale = replace(state, stack_mem=state.stack_mem + b"\x07" * 8)
+        revived = deserialize_state(serialize_state(stale, machine), machine)
+        assert revived.stack_mem == stale.stack_mem
+        assert revived.stack_top == stale.stack_top
