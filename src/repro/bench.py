@@ -1,14 +1,14 @@
-"""Engine throughput benchmark: compiled vs decoded vs reference.
+"""Engine throughput benchmark: compiled vs reference.
 
 Measures simulated instructions per wall-clock second for every kernel
-under all three execution engines (``MachineConfig.engine``), both with
-and without the timing model, and reports the speedup of each
-accelerated tier over the reference interpreter. ``python -m repro
+under both execution engines (``MachineConfig.engine``), both with
+and without the timing model, and reports the speedup of the compiled
+engine over the reference interpreter. ``python -m repro
 bench --suite engine`` and ``benchmarks/bench_engine_throughput.py``
 both drive this module; the numbers land in ``BENCH_engine.json``.
 
-The accelerated engines must be pure performance changes: outputs,
-counters, and cycles are asserted equal across all three engines for
+The compiled engine must be a pure performance change: outputs,
+counters, and cycles are asserted equal across both engines for
 every workload measured (any drift fails the benchmark rather than
 silently reporting a speedup for a different simulation).
 
@@ -32,11 +32,9 @@ DEFAULT_WORKLOADS = (
     "blackscholes", "streamcluster", "swaptions",
 )
 
-#: Measurement order: the reference tier is the denominator of every
-#: speedup; "decoded" is the trampoline over decoded records and
-#: "compiled" adds closure-compiled block segments on the same
-#: trampoline.
-ENGINES = ("reference", "decoded", "compiled")
+#: Measurement order: the reference tier is the denominator of the
+#: speedup.
+ENGINES = ("reference", "compiled")
 
 #: Benchmark suites ``run_suites`` knows how to drive.
 SUITES = ("engine", "batch", "snap")
@@ -71,15 +69,13 @@ def bench_workload(name: str, scale: str = "fi", repeats: int = 3,
             times[engine].append(elapsed)
             results[engine] = result
 
-    ref = results["reference"]
-    for engine in ("decoded", "compiled"):
-        res = results[engine]
-        if res.output != ref.output:
-            raise AssertionError(f"{name}: {engine} engine outputs differ")
-        if res.counters.as_dict() != ref.counters.as_dict():
-            raise AssertionError(f"{name}: {engine} engine counters differ")
-        if collect_timing and res.cycles != ref.cycles:
-            raise AssertionError(f"{name}: {engine} engine cycles differ")
+    ref, res = results["reference"], results["compiled"]
+    if res.output != ref.output:
+        raise AssertionError(f"{name}: compiled engine outputs differ")
+    if res.counters.as_dict() != ref.counters.as_dict():
+        raise AssertionError(f"{name}: compiled engine counters differ")
+    if collect_timing and res.cycles != ref.cycles:
+        raise AssertionError(f"{name}: compiled engine cycles differ")
 
     instructions = ref.counters.instructions
     best = {engine: min(ts) for engine, ts in times.items()}
@@ -87,9 +83,7 @@ def bench_workload(name: str, scale: str = "fi", repeats: int = 3,
     for engine in ENGINES:
         row[f"{engine}_seconds"] = best[engine]
         row[f"{engine}_ips"] = instructions / best[engine]
-    row["decoded_speedup"] = best["reference"] / best["decoded"]
     row["compiled_speedup"] = best["reference"] / best["compiled"]
-    # Headline number: the fastest tier over the reference interpreter.
     row["speedup"] = row["compiled_speedup"]
     return row
 
@@ -115,13 +109,11 @@ def bench_engine_throughput(scale: str = "fi", repeats: int = 3,
         if verbose:
             print(
                 f"{name:<18} {row['instructions']:>10} instrs  "
-                f"decoded {row['decoded_speedup']:>5.2f}x  "
                 f"compiled {row['compiled_speedup']:>5.2f}x  "
                 f"({row['compiled_ips'] / 1e3:.0f}k ips)"
             )
     if verbose and rows:
-        print(f"{'geomean speedup':<18} "
-              f"decoded {_geomean(rows, 'decoded_speedup'):>16.2f}x  "
+        print(f"{'geomean speedup':<18} {'':>17}"
               f"compiled {_geomean(rows, 'compiled_speedup'):>5.2f}x")
     return rows
 
@@ -132,7 +124,6 @@ def write_report(rows: List[Dict], path: str = "BENCH_engine.json") -> None:
         "unit": "simulated instructions per second",
         "engines": list(ENGINES),
         "geomean_speedup": _geomean(rows, "compiled_speedup"),
-        "geomean_decoded_speedup": _geomean(rows, "decoded_speedup"),
         "geomean_compiled_speedup": _geomean(rows, "compiled_speedup"),
         "rows": rows,
     }

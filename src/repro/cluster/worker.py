@@ -232,7 +232,7 @@ class ClusterWorker:
             module, entry, args = self._cells.get(
                 str(message["workload"]), str(message["build_scale"]),
                 str(message["version"]))
-            engine = str(message.get("engine", "decoded"))
+            engine = str(message.get("engine", "compiled"))
             reference, profile = golden_profile(module, entry, args, None,
                                                 engine=engine)
             model = get_model(str(message["fault_model"]))

@@ -3,8 +3,8 @@ decoded blocks either record-by-record or as compiled *segments* —
 specialized Python closures generated from the decoded stream
 (threaded code: each segment returns the next segment to run).
 
-This module is the single substrate behind the ``decoded`` and
-``compiled`` engines, the resumable checkpoint machinery
+This module is the single substrate behind the ``compiled`` engine,
+the resumable checkpoint machinery
 (:mod:`repro.cpu.resumable` is now a compatibility shim over it) and
 the batched lane engine (:mod:`repro.cpu.batch`):
 
@@ -197,7 +197,7 @@ def run_stack(M, stack: List[Frame], executed: int, capture=None):
     # bookkeeping: capture placement polls every record, and inject
     # frames interleave fault/trace/checker steps — both keep the
     # record path (bit-identical either way; segments are pure speed).
-    segments_on = capture is None and M.config.engine == "compiled"
+    segments_on = capture is None
     vidx = 0 if timing is not None else 1
     value = None
     returning = False
@@ -928,13 +928,6 @@ def covers(state: ResumeState, plan) -> bool:
 #   checks are statically absent, not skipped.
 
 import math  # noqa: E402
-import os  # noqa: E402
-
-#: Re-raise segment-compiler errors instead of silently falling back
-#: to the record path (the fallback is bit-identical, so a compiler
-#: bug would otherwise only show up as a missing speedup). Tests set
-#: REPRO_COMPILED_STRICT=1.
-STRICT_COMPILE = os.environ.get("REPRO_COMPILED_STRICT", "") not in ("", "0")
 
 _SUPPORTED_TERMS = (_T_BR, _T_CONDBR, _T_RET, _T_RET_VOID)
 
@@ -964,6 +957,10 @@ class CompileStats:
     compile_ms: float = 0.0
     code_hits: int = 0
     code_misses: int = 0
+    #: Functions whose emitter raised and that stay on the record path
+    #: (bit-identical, so a compiler bug shows only here and as a
+    #: missing speedup).
+    fallbacks: int = 0
 
     def as_dict(self) -> Dict[str, object]:
         return {
@@ -973,6 +970,7 @@ class CompileStats:
             "compile_ms": self.compile_ms,
             "code_hits": self.code_hits,
             "code_misses": self.code_misses,
+            "fallbacks": self.fallbacks,
         }
 
 
@@ -980,7 +978,9 @@ COMPILE_STATS = CompileStats()
 
 #: Subscribers called with one payload dict per :func:`ensure_compiled`
 #: invocation that did work: module digest, function/block/segment
-#: counts, compile wall time and code-cache hit/miss split. The lab
+#: counts, compile wall time, code-cache hit/miss split, and record-path
+#: fallbacks (``fallbacks`` plus one ``"@fn: repr"`` string per
+#: emitter exception in ``fallback_errors``). The lab
 #: bridges these onto its EventBus as ``engine-compile`` events.
 _COMPILE_HOOKS: List[Callable[[Dict[str, object]], None]] = []
 
@@ -2452,19 +2452,19 @@ def _emit_function(dfn, costs, globals_addr, with_timing):
 def _compile_dfn(dmod, dfn, vidx, digest):
     """Emit + exec the segments of one function, reusing a cached code
     object when this (module digest, cost model, variant, function) was
-    compiled before. Returns (segments, blocks, code hit, code miss)."""
+    compiled before. Returns (segments, blocks, code hit, code miss,
+    emitter error repr or None)."""
     for db in dfn.blocks:
         if db.compiled is None:
             db.compiled = [None, None]
     try:
         emitted = _emit_function(dfn, dmod.costs, dmod.globals_addr,
                                  vidx == 0)
-    except Exception:
-        if STRICT_COMPILE:
-            raise
-        emitted = None  # the record path stays available (and correct)
+    except Exception as exc:
+        # The record path stays available (and correct); count it.
+        return (0, 0, 0, 0, f"@{dfn.fn.name}: {exc!r}")
     if emitted is None:
-        return (0, 0, 0, 0)
+        return (0, 0, 0, 0, None)
     source, consts, metas = emitted
     key = ((digest, id(dmod.costs), vidx, dfn.fn.name) if digest
            else None)
@@ -2494,7 +2494,7 @@ def _compile_dfn(dmod, dfn, vidx, digest):
         per_block.setdefault(bi, {})[boundary] = ns[fname]
     for bi, segmap in per_block.items():
         dfn.blocks[bi].compiled[vidx] = segmap
-    return (len(metas), len(per_block), hit, miss)
+    return (len(metas), len(per_block), hit, miss, None)
 
 
 def ensure_compiled(dmod, vidx) -> Optional[Dict[str, object]]:
@@ -2512,13 +2512,17 @@ def ensure_compiled(dmod, vidx) -> Optional[Dict[str, object]]:
     digest = _module_digest(dmod)
     t0 = time.perf_counter()
     segs = blocks = hits = misses = 0
+    errors: List[str] = []
     for fid, dfn in todo:
-        n_segs, n_blocks, hit, miss = _compile_dfn(dmod, dfn, vidx, digest)
+        n_segs, n_blocks, hit, miss, error = _compile_dfn(dmod, dfn, vidx,
+                                                          digest)
         done[vidx].add(fid)
         segs += n_segs
         blocks += n_blocks
         hits += hit
         misses += miss
+        if error is not None:
+            errors.append(error)
     ms = (time.perf_counter() - t0) * 1000.0
     COMPILE_STATS.functions += len(todo)
     COMPILE_STATS.blocks += blocks
@@ -2526,6 +2530,7 @@ def ensure_compiled(dmod, vidx) -> Optional[Dict[str, object]]:
     COMPILE_STATS.compile_ms += ms
     COMPILE_STATS.code_hits += hits
     COMPILE_STATS.code_misses += misses
+    COMPILE_STATS.fallbacks += len(errors)
     payload = {
         "digest": digest,
         "variant": "timing" if vidx == 0 else "plain",
@@ -2535,31 +2540,21 @@ def ensure_compiled(dmod, vidx) -> Optional[Dict[str, object]]:
         "compile_ms": ms,
         "code_hits": hits,
         "code_misses": misses,
+        "fallbacks": len(errors),
+        "fallback_errors": errors,
     }
     for hook in list(_COMPILE_HOOKS):
         hook(payload)
     return payload
 
 
-# --- Engine runners -----------------------------------------------------------
-#
-# Machine.run dispatches through the engine registry
-# (repro.cpu.interpreter) to one of these. Both decode once per
-# (module, cost model) and run on the trampoline; "compiled" also
-# ensures segments exist for the variant this machine needs.
-
-
-def run_decoded(M, fn, arg_values):
-    """``engine="decoded"``: trampoline over decoded records."""
-    dmod = decoded_module(M.module, M.config.cost_model, M.globals_addr)
-    dfn = dmod.function(fn)
-    stack: List[Frame] = []
-    push_frame(M, stack, dfn, arg_values, [0.0] * len(arg_values))
-    return run_stack(M, stack, M._executed)
+# --- Engine runner ------------------------------------------------------------
 
 
 def run_compiled(M, fn, arg_values):
-    """``engine="compiled"``: trampoline + compiled segments."""
+    """``engine="compiled"``, called by ``Machine.run``: decode once per
+    (module, cost model), ensure segments exist for the variant this
+    machine needs, and run on the trampoline."""
     dmod = decoded_module(M.module, M.config.cost_model, M.globals_addr)
     dfn = dmod.function(fn)
     ensure_compiled(dmod, 0 if M.timing is not None else 1)

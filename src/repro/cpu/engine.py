@@ -5,9 +5,9 @@ dynamic instruction through a chain of ~22 ``isinstance`` checks and
 resolves every operand with per-step dict lookups keyed by ``Value``.
 This module removes that per-step work with a one-time *decode* of each
 function (execution itself lives in :mod:`repro.cpu.compiled`: the
-explicit-frame trampoline runs these records directly for the
-``decoded`` engine, and compiles them further into threaded-code
-segments for the ``compiled`` engine):
+explicit-frame trampoline runs these records where per-record
+bookkeeping is needed, and compiles them further into threaded-code
+segments everywhere else):
 
 - every basic block is lowered to a flat tuple of per-instruction
   **handler closures** (a dispatch table built once, indexed never);
@@ -141,9 +141,8 @@ class DecodedFunction:
 
 
 # Execution lives in repro.cpu.compiled: one explicit-frame
-# trampoline (run_stack) executes decoded records for the
-# "decoded" engine and compiled segments for the "compiled"
-# engine. This module is the decode layer only.
+# trampoline (run_stack) executes decoded records and compiled
+# segments. This module is the decode layer only.
 
 
 # --- Decode: static counter deltas -------------------------------------------

@@ -21,7 +21,7 @@ import math
 import struct
 import sys
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence
 
 from ..avx import costs as C
 from ..avx import ops as avxops
@@ -77,38 +77,20 @@ _RUN_RECURSION_LIMIT = 8000
 _NON_ALU_OPS = frozenset({"load", "store", "br", "ret", "call", "phi", "alloca"})
 
 
-# --- Engine registry ---------------------------------------------------------
-#
-# Maps MachineConfig.engine names to runners. "reference" is special
-# (the tree-walking interpreter below, dispatched inline by
-# Machine.run); every other engine resolves lazily to
-# ``module_path.attr``, a callable ``runner(machine, fn, arg_values) ->
-# value`` (lazy so importing this module never pulls the decode or
-# compile layers).
-_ENGINE_SPECS: Dict[str, Optional[Tuple[str, str]]] = {
-    "reference": None,
-    "decoded": ("repro.cpu.compiled", "run_decoded"),
-    "compiled": ("repro.cpu.compiled", "run_compiled"),
-}
+#: Execution engines (``MachineConfig.engine``): "compiled" runs the
+#: trampoline with compiled block segments (repro.cpu.compiled),
+#: "reference" the tree-walking interpreter below. Bit-identical
+#: results either way; the reference engine is the differential oracle.
+ENGINES = ("compiled", "reference")
 
 
-def register_engine(name: str, spec: Optional[Tuple[str, str]]) -> None:
-    """Register (or override) an execution engine. ``spec`` is a
-    ``(module_path, attr)`` pair naming a runner, or None for engines
-    dispatched specially by Machine.run."""
-    _ENGINE_SPECS[name] = spec
-
-
-def registered_engines() -> Tuple[str, ...]:
-    return tuple(sorted(_ENGINE_SPECS))
-
-
-def _engine_runner(name: str):
-    import importlib
-
-    spec = _ENGINE_SPECS[name]
-    module_path, attr = spec
-    return getattr(importlib.import_module(module_path), attr)
+def stored_engine(name):
+    """The engine that runs an engine name read back from a persisted
+    manifest. Manifests written before the record-only ``decoded`` tier
+    was retired may name it; it ran the same trampoline as ``compiled``
+    with bit-identical results, so it runs on ``compiled``. Any other
+    value is returned unchanged for the caller to validate."""
+    return "compiled" if name == "decoded" else name
 
 
 @dataclass
@@ -134,18 +116,14 @@ class MachineConfig:
     #: Which functions fault injection may target (None = every defined
     #: non-intrinsic function in the module).
     fault_eligible: Optional[Callable[[Function], bool]] = None
-    #: Execution engine: "decoded" runs decoded records on the frame
-    #: trampoline, "compiled" (the default) additionally runs
-    #: closure-compiled block segments (both in repro.cpu.compiled,
-    #: bit-identical results); "reference" runs the original
-    #: tree-walking interpreter.
+    #: Execution engine, one of :data:`ENGINES`.
     engine: str = "compiled"
 
     def __post_init__(self) -> None:
-        if self.engine not in _ENGINE_SPECS:
+        if self.engine not in ENGINES:
             raise ValueError(
-                f"unknown engine {self.engine!r}; registered engines: "
-                + ", ".join(registered_engines())
+                f"unknown engine {self.engine!r}; engines: "
+                + ", ".join(ENGINES)
             )
 
 
@@ -437,15 +415,15 @@ class Machine:
         self._watch_mem = None
         self._watch_branch = None
         # Execution-position registries for the batch engine's state
-        # digests (decoded engine only; cleared at every ``run()``):
-        # ``_frames`` holds ``(dfn, regs)`` per live decoded frame,
+        # digests (trampoline only; cleared at every ``run()``):
+        # ``_frames`` holds ``(dfn, regs)`` per live trampoline frame,
         # outermost first; ``_call_sites`` holds ``id(call_inst)`` per
         # suspended caller, identifying where each frame resumes.
         self._frames: List[tuple] = []
         self._call_sites: List[int] = []
         #: True when any per-eligible-instruction bookkeeping is needed
         #: (armed plans, count-only profiling, or a trace hook); the
-        #: decoded engine skips that bookkeeping entirely otherwise.
+        #: trampoline skips that bookkeeping entirely otherwise.
         self._fault_active = False
         # Stream gates. ``*_needed`` = this run must count the stream at
         # all (count-only profiling or plans of that kind armed);
@@ -777,18 +755,14 @@ class Machine:
         if saved_limit < _RUN_RECURSION_LIMIT:
             sys.setrecursionlimit(_RUN_RECURSION_LIMIT)
         try:
-            engine = self.config.engine
-            if _ENGINE_SPECS.get(engine, None) is None:
-                if engine not in _ENGINE_SPECS:
-                    raise ValueError(
-                        f"unknown engine {engine!r}; registered engines: "
-                        + ", ".join(registered_engines())
-                    )
+            if self.config.engine == "reference":
                 value = self._exec_function(
                     fn, arg_values, [0.0] * len(arg_values), 0
                 )
             else:
-                value = _engine_runner(engine)(self, fn, arg_values)
+                from .compiled import run_compiled
+
+                value = run_compiled(self, fn, arg_values)
         finally:
             if saved_limit < _RUN_RECURSION_LIMIT:
                 sys.setrecursionlimit(saved_limit)

@@ -5,8 +5,8 @@ Historically this module held a hand-maintained mirror of the decoded
 engine's recursive executors, rewritten over an explicit frame stack so
 mid-run state could be captured and resumed. The compiled execution
 core made that mirror the *only* executor — the same trampoline runs
-plain decoded records (``engine="decoded"``) and closure-compiled block
-segments (``engine="compiled"``) — so the implementation moved to
+decoded records and closure-compiled block segments — so the
+implementation moved to
 :mod:`repro.cpu.compiled` and this module simply re-exports the public
 surface. The frame/cursor format is unchanged: checkpoints written by
 :mod:`repro.snap.format` before the move still load and resume

@@ -18,21 +18,23 @@ Two performance layers (the paper amortized this cost across a
 - **Golden-run cache**: fault-free runs are memoized on the module,
   keyed by ``(module.version, entry, args, eligibility)``, so figure
   scripts and ablations stop repeating identical golden executions.
-- **Parallel injections**: ``run_campaign(..., workers=N)`` shards the
-  injection loop across forked worker processes. All fault plans are
-  pre-drawn from one seeded RNG in the serial draw order, so the
-  outcome counts are bit-identical for every worker count (and to the
-  serial path); platforms without ``fork`` fall back to serial.
+- **Parallel injections**: ``run_campaign(..., workers=N)`` runs on
+  the lab's durable path (:mod:`repro.lab.durable`) without a store,
+  one shard per worker on its supervised forked scheduler. All fault
+  plans are pre-drawn from one seeded RNG in the serial draw order, so
+  the outcome counts are bit-identical for every worker count (and to
+  the serial path); platforms without ``fork`` fall back to serial.
 """
 
 from __future__ import annotations
 
+import math
 import multiprocessing
 import os
 import random
 import threading
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, List, Optional, Sequence
 
 from ..cpu.errors import DetectedError, HangError, Trap
@@ -60,7 +62,7 @@ class CampaignConfig:
     #: Registered fault-model name (see :mod:`repro.faults.models`).
     #: The default reproduces the paper's single register bit flip.
     fault_model: str = DEFAULT_MODEL
-    #: Execution engine for every run of the campaign ("decoded" or
+    #: Execution engine for every run of the campaign ("compiled" or
     #: "reference"). Outcome counts are bit-identical either way (the
     #: differential tests enforce it); the knob exists so CI can prove
     #: that end to end. Excluded from durable store keys.
@@ -72,7 +74,7 @@ class CampaignConfig:
     #: — like ``engine`` and ``workers`` — ``batch`` is a pure
     #: execution knob, excluded from durable store keys. Batching is
     #: per *worker*: with forked or distributed workers each worker
-    #: batches its own shards. Requires the decoded engine and
+    #: batches its own shards. Requires the compiled engine and
     #: ``os.fork``; anything else falls back to sequential injection.
     batch: int = 1
     #: Mid-run checkpointing (see :mod:`repro.snap`): resolve each
@@ -80,7 +82,7 @@ class CampaignConfig:
     #: execute only the tail. Per-plan outcomes are bit-identical with
     #: and without it (the differential tests and CI pin that), so —
     #: like ``engine``, ``workers`` and ``batch`` — a pure execution
-    #: knob, excluded from durable store keys. Decoded engine only;
+    #: knob, excluded from durable store keys. Compiled engine only;
     #: cells with unkeyable eligibility predicates or golden runs
     #: shorter than :data:`repro.snap.MIN_ELIGIBLE` skip it silently.
     snap: bool = True
@@ -196,15 +198,6 @@ def golden_profile(module: Module, entry: str, args: Sequence,
     return list(result.output), profile
 
 
-def golden_run(module: Module, entry: str, args: Sequence,
-               fault_eligible: Optional[Callable] = None):
-    """Fault-free execution; returns (output, eligible_instructions,
-    total_instructions). Compatibility wrapper over
-    :func:`golden_profile` (same cache)."""
-    output, profile = golden_profile(module, entry, args, fault_eligible)
-    return output, profile.eligible, profile.executed
-
-
 def draw_plans(eligible: int, config: CampaignConfig) -> List[FaultPlan]:
     """All fault plans for the *default* (register bit flip) model, in
     the serial draw order — the plan list (hence the outcome multiset)
@@ -237,29 +230,6 @@ def draw_model_plans(profile: StreamProfile,
     return get_model(config.fault_model).draw_plans(profile, config)
 
 
-#: Backwards-compatible alias (pre-lab internal name).
-_draw_plans = draw_plans
-
-
-# Fork-inherited campaign context: (module, entry, args, reference,
-# budget, rtol, fault_eligible, engine, batch, fault_model, snap). Set
-# in the parent right before the pool forks; never pickled, so modules
-# and predicates need not be picklable.
-_FORK_CONTEXT = None
-
-
-def _run_shard(plans: List[FaultPlan]) -> List[Outcome]:
-    (module, entry, args, reference, budget, rtol, fault_eligible,
-     engine, batch, fault_model, snap) = _FORK_CONTEXT
-    return run_plans(module, entry, args, plans, reference, budget, rtol,
-                     fault_eligible, engine=engine, batch=batch,
-                     fault_model=fault_model, snap=snap)
-
-
-def _fork_available() -> bool:
-    return "fork" in multiprocessing.get_all_start_methods()
-
-
 def run_campaign(
     module: Module,
     entry: str,
@@ -272,52 +242,21 @@ def run_campaign(
     """Inject ``config.injections`` single faults into fresh executions
     of ``entry`` and classify every outcome.
 
-    ``workers`` (or ``config.workers``) > 1 shards the injections over
-    forked processes; counts are bit-identical to the serial run.
+    An ephemeral :func:`repro.lab.durable.run_durable_campaign` (no
+    store) with one shard per worker: ``workers`` (or
+    ``config.workers``) > 1 runs the shards on the lab's supervised
+    forked scheduler; counts are bit-identical to the serial run.
     """
-    global _FORK_CONTEXT
+    from ..lab.durable import run_durable_campaign
+
     config = config or CampaignConfig()
-    if workers is None:
-        workers = config.workers
-    workers = resolve_workers(workers)
-    reference, profile = golden_profile(
-        module, entry, args, config.fault_eligible, engine=config.engine
-    )
-    if profile.eligible == 0:
-        raise ValueError(f"no eligible instructions in @{entry}")
-    budget = int(profile.executed * config.hang_factor) + 10_000
-    plans = draw_model_plans(profile, config)
-    result = CampaignResult(workload=workload, version=version,
-                            fault_model=config.fault_model)
-
-    workers = max(1, min(workers, len(plans) or 1))
-    if workers > 1 and _fork_available():
-        # Warm the cell's checkpoint set in the parent so every forked
-        # worker inherits it through the module cache (copy-on-write)
-        # instead of each re-loading or re-capturing it.
-        _cell_checkpoints(module, entry, args, budget, config.fault_eligible,
-                          config.fault_model, config.engine, config.snap)
-        shards = [plans[i::workers] for i in range(workers)]
-        _FORK_CONTEXT = (module, entry, args, reference, budget,
-                         config.rtol, config.fault_eligible, config.engine,
-                         config.batch, config.fault_model, config.snap)
-        try:
-            ctx = multiprocessing.get_context("fork")
-            with ctx.Pool(processes=workers) as pool:
-                for outcomes in pool.map(_run_shard, shards):
-                    for outcome in outcomes:
-                        result.counts[outcome] += 1
-        finally:
-            _FORK_CONTEXT = None
-        return result
-
-    for outcome in run_plans(module, entry, args, plans, reference, budget,
-                             config.rtol, config.fault_eligible,
-                             engine=config.engine, batch=config.batch,
-                             fault_model=config.fault_model,
-                             snap=config.snap):
-        result.counts[outcome] += 1
-    return result
+    if workers is not None:
+        config = replace(config, workers=workers)
+    shard_size = max(1, math.ceil(config.injections
+                                  / resolve_workers(config.workers)))
+    return run_durable_campaign(module, entry, args, workload, version,
+                                config, store=False,
+                                shard_size=shard_size).result
 
 
 def trap_outcome(trap: Trap) -> Outcome:
@@ -364,8 +303,8 @@ class InjectionSession:
     """Per-cell injection scaffolding, hoisted out of the per-plan loop.
 
     :func:`inject_once` rebuilds the whole machine for every injection —
-    a fresh multi-megabyte memory image, global layout, and (first time
-    through) the decoded module. A session builds the machine once,
+    a fresh memory image, global layout, and (first time through) the
+    decoded module. A session builds the machine once,
     warms the decode, snapshots the golden start state, and turns each
     injection into restore → arm → run → classify. Classification is
     the same code path as :func:`inject_once`, and the differential
@@ -389,10 +328,11 @@ class InjectionSession:
         self.machine = _fresh_machine(module, max_instructions=budget,
                                       fault_eligible=fault_eligible,
                                       engine=engine)
-        if engine in ("decoded", "compiled"):
-            # Decode (and for "compiled", compile segments) up front so
-            # the first injection's timing is not an outlier (both are
-            # cached on the module either way).
+        if engine != "reference":
+            # Decode and compile segments up front so the first
+            # injection's timing is not an outlier (both are cached on
+            # the module either way).
+            from ..cpu.compiled import ensure_compiled
             from ..cpu.engine import decoded_module
 
             dmod = decoded_module(
@@ -400,12 +340,7 @@ class InjectionSession:
                 self.machine.globals_addr,
             )
             dmod.function(module.get_function(entry))
-            if engine == "compiled":
-                from ..cpu.compiled import ensure_compiled
-
-                ensure_compiled(
-                    dmod, 0 if self.machine.timing is not None else 1
-                )
+            ensure_compiled(dmod, 0 if self.machine.timing is not None else 1)
         self.snapshot = self.machine.snapshot()
         self._trace = None  # lockstep trace, built on first batched use
         self._checkpoints = None  # CheckpointSet, attached per run_plans
@@ -447,19 +382,19 @@ class InjectionSession:
 
 #: The one live injection session, as ``(module, key, session)``. A
 #: single slot across ALL modules, not one per module: every session
-#: pins a Machine whose heap/stack arenas are tens of MB, and a
-#: multi-cell campaign (or benchmark sweep) that kept one per module
-#: would accumulate an arena per cell ever run. Beyond parent RSS,
-#: that bloat taxes every ``os.fork()`` the batched engine makes —
-#: page-table size and copy-on-write faults scale with the parent's
-#: resident footprint, which measurably halves late cells' speedup.
-#: Campaigns iterate cells one at a time, so one slot hits for every
-#: shard of the current cell and retires the previous cell's arena.
+#: pins a Machine (its live memory, golden snapshot and, once
+#: batching, a lockstep trace), and a multi-cell campaign (or
+#: benchmark sweep) that kept one per module would accumulate that
+#: state for every cell ever run — parent RSS that every ``os.fork()``
+#: the batched engine makes then pays for in page tables and
+#: copy-on-write faults. Campaigns iterate cells one at a time, so one
+#: slot hits for every shard of the current cell and retires the
+#: previous cell's machine.
 #:
 #: The slot is *per thread*: a Machine is deeply stateful during a run
 #: (frame stack, fault arming, memory image), so two campaign threads
 #: sharing one session corrupt each other — the service runs campaigns
-#: on a thread pool, and each runner thread must pin its own arena.
+#: on a thread pool, and each runner thread must pin its own machine.
 #: Single-threaded drivers (the CLI) see the exact historical
 #: one-slot-per-process behaviour.
 _SESSION_TLS = threading.local()
@@ -524,7 +459,7 @@ def _cell_checkpoints(module: Module, entry: str, args: Sequence,
     predicate, or a golden run too short to profit). Cached through
     the module's golden cache, so shards and forked workers share one
     set per (cell, model)."""
-    if not snap or engine not in ("decoded", "compiled"):
+    if not snap or engine == "reference":
         return None
     from ..snap.build import build_checkpoints
 
@@ -555,9 +490,8 @@ def run_plans(
     """Classify a list of fault plans; the shard-level entry point every
     fabric (inline, forked, durable, distributed) runs.
 
-    Returns outcomes in plan order. With ``batch > 1`` on the decoded
-    or compiled engine (and ``os.fork`` available), plans are
-    re-ordered by the
+    Returns outcomes in plan order. With ``batch > 1`` on the compiled
+    engine (and ``os.fork`` available), plans are re-ordered by the
     model's ``sort_for_batching`` hook, grouped into batches of
     ``batch``, and dispatched to :func:`repro.cpu.batch.run_batch`;
     results are scattered back to plan order, so the outcome *list* —
@@ -586,7 +520,7 @@ def run_plans(
                                  fault_eligible, fault_model, engine, snap)
     session.attach_checkpoints(cset)
     batched = (batch > 1 and len(plans) > 1
-               and engine in ("decoded", "compiled")
+               and engine != "reference"
                and hasattr(os, "fork"))
     if not batched:
         outcomes = []

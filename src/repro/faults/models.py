@@ -22,7 +22,7 @@ Contract every model obeys:
   never share shard rows.
 - **Engine neutrality.** Plans are applied by shared
   :class:`~repro.cpu.interpreter.Machine` helpers, so the reference
-  interpreter and the pre-decoded engine classify identical outcomes
+  interpreter and the compiled engine classify identical outcomes
   for every plan (enforced by ``tests/cpu/test_engine_differential``).
 
 Populations come from a :class:`StreamProfile` measured by the golden

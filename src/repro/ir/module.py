@@ -15,7 +15,7 @@ class Module:
         self.functions: Dict[str, Function] = {}
         self.globals: Dict[str, GlobalVariable] = {}
         #: Monotonic structure stamp. Anything that caches derived data
-        #: keyed on the module (the pre-decoded execution engine, the
+        #: keyed on the module (the decoded form the compiled engine runs, the
         #: campaign golden-run cache) keys on this and is invalidated
         #: when it changes. Structural edits here bump it automatically;
         #: IR passes that mutate function bodies in place must call
@@ -24,8 +24,9 @@ class Module:
         self.version: int = 0
         #: (version, cost-model id) -> decoded module (see repro.cpu.engine).
         self._decoded_cache: Dict = {}
-        #: (version, entry, args digest, eligibility key) -> golden-run
-        #: triple (see repro.faults.campaign.golden_run).
+        #: (version, entry, args digest, eligibility key) -> golden
+        #: (output, StreamProfile), plus per-cell checkpoint sets and
+        #: lockstep traces (see repro.faults.campaign.golden_profile).
         self._golden_cache: Dict = {}
 
     def bump_version(self) -> int:

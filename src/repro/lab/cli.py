@@ -23,7 +23,7 @@ import argparse
 import json
 from typing import Dict, List, Optional
 
-from ..cpu.interpreter import registered_engines
+from ..cpu.interpreter import ENGINES, stored_engine
 from ..faults.campaign import CampaignConfig
 from ..faults.models import DEFAULT_MODEL, model_names
 from ..faults.outcomes import Outcome
@@ -70,7 +70,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="fault shape to inject (see docs/FAULTS.md); "
                              "each model keys its own store rows")
     parser.add_argument("--engine", default="compiled",
-                        choices=registered_engines(),
+                        choices=ENGINES,
                         help="execution engine; outcome counts are "
                              "bit-identical on every engine (CI proves "
                              "it), so the store is shared between engines")
@@ -84,8 +84,8 @@ def _build_parser() -> argparse.ArgumentParser:
                              "worker batches its own shards. Outcome counts "
                              "are bit-identical to --batch 1, so the store "
                              "is shared across batch sizes. Requires the "
-                             "compiled or decoded engine; falls back to "
-                             "sequential injection otherwise")
+                             "compiled engine; falls back to sequential "
+                             "injection otherwise")
     parser.add_argument("--cluster", type=int, default=None, metavar="N",
                         help="distribute shards over N local worker agents "
                              "(TCP, not fork) — counts are bit-identical to "
@@ -160,9 +160,9 @@ def _run_cells(spec: Dict, store: ResultStore, events: EventBus,
     build_scale = "fi" if spec["scale"] == "perf" else "test"
     # Resume manifests written before the fault-model/engine/batch
     # flags existed lack these keys; default to the historical
-    # behaviour.
+    # behaviour (and run a retired engine on its successor).
     fault_model = spec.get("fault_model", DEFAULT_MODEL)
-    engine = spec.get("engine", "decoded")
+    engine = stored_engine(spec.get("engine", "compiled"))
     batch = int(spec.get("batch", 1))
     rows: List[tuple] = []
     cells: List[Dict] = []

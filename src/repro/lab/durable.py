@@ -1,16 +1,18 @@
 """Durable campaign orchestration: store + checkpoint + scheduler +
 adaptive sampling, behind one call.
 
-:func:`run_durable_campaign` is the lab's equivalent of
-:func:`repro.faults.campaign.run_campaign` — same golden run, same
-pre-drawn serial fault plans, same per-injection classification — with
-the injection loop replaced by shard bookkeeping:
+:func:`run_durable_campaign` is the one campaign path
+(:func:`repro.faults.campaign.run_campaign` is a store-less wrapper
+over it): golden run, pre-drawn serial fault plans, per-injection
+classification, with the injection loop replaced by shard bookkeeping:
 
 1. partition the plan list into contiguous shards (the replay unit);
 2. serve every shard already in the result store (``shard-store-hit``);
-3. schedule the rest onto supervised forked workers, persisting each
-   shard's counts the moment it completes — *before* telemetry fires,
-   so an interrupt (Ctrl-C or a subscriber raising) never loses work;
+3. schedule the rest onto supervised forked workers (the cell's
+   checkpoint set is built before they fork, so they inherit it),
+   persisting each shard's counts the moment it completes — *before*
+   telemetry fires, so an interrupt (Ctrl-C or a subscriber raising)
+   never loses work;
 4. optionally stop early once the Wilson 95% CI half-width of every
    outcome class is below ``ci_target``, evaluated over the contiguous
    completed shard *prefix* so the stopping point — and therefore the
@@ -31,6 +33,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..faults.campaign import (
     CampaignConfig,
+    _cell_checkpoints,
     draw_model_plans,
     golden_profile,
     resolve_workers,
@@ -228,14 +231,22 @@ def run_durable_campaign(
                 counts={o.value: int(c) for o, c in counts.items()},
             )
 
-        scheduler = ShardScheduler(
-            policy or SchedulerPolicy(workers=workers), events
-        )
+        policy = policy or SchedulerPolicy(workers=workers)
+        scheduler = ShardScheduler(policy, events)
         stopper = (AdaptiveStop(ci_target=ci_target, min_injections=min_injections)
                    if ci_target is not None else None)
 
+        missing = [s for s in shards if s.index not in results]
+        if resolve_workers(policy.workers) > 1 and len(missing) > 1:
+            # The scheduler will fork: build the cell's checkpoint set
+            # here first, so every shard worker inherits it through the
+            # module's golden cache (copy-on-write) instead of each
+            # loading or capturing its own.
+            _cell_checkpoints(module, entry, args, budget,
+                              config.fault_eligible, config.fault_model,
+                              config.engine, config.snap)
+
         if stopper is None:
-            missing = [s for s in shards if s.index not in results]
             scheduler.run(missing, runner, on_result)
             stop_position, _, cumulative = _prefix_status(shards, results, None)
         else:

@@ -30,9 +30,11 @@ Event kinds emitted today:
                        service/cluster shard path, ``--workers 1``)
                        see every one.
 ``engine-compile``     digest, variant, functions, blocks, segments,
-                       compile_ms, code_hits, code_misses (the
-                       compiled engine translated this campaign's
-                       module; cache-warm campaigns emit none)
+                       compile_ms, code_hits, code_misses,
+                       fallbacks, fallback_errors (the compiled engine
+                       translated this campaign's module; functions
+                       the emitter rejected stay on the record path;
+                       cache-warm campaigns emit none)
 ``store-stale``        purged (stale shard rows dropped for this cell)
 ``store-disabled``     reason (unkeyable eligibility predicate)
 ``adaptive-stop``      injections, halfwidth, target

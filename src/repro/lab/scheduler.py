@@ -56,12 +56,6 @@ class SchedulerPolicy:
     #: Base delay before a retry; grows by ``backoff_factor`` per attempt.
     backoff: float = 0.05
     backoff_factor: float = 2.0
-    #: Accepted for back-compat only. The supervisor blocks in
-    #: ``multiprocessing.connection.wait`` on the worker pipes (waking
-    #: on results, worker death, the next shard deadline, or the next
-    #: retry becoming eligible), so idle supervision costs no CPU and
-    #: this interval is no longer used as a sleep period.
-    poll_interval: float = 0.01
 
     @property
     def retry(self) -> RetryPolicy:

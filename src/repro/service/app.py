@@ -45,6 +45,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..chaos.hooks import chaos_point
 from ..chaos.policy import SERVICE_POLL
+from ..cpu.interpreter import stored_engine
 from ..lab.events import CampaignInterrupted, EventBus
 from .admission import AdmissionController, QuotaExceeded, TenantQuotas
 from .http import (
@@ -341,8 +342,11 @@ class ReproService:
         for row in payload.get("campaigns", []):
             if row.get("status") not in (INTERRUPTED, QUEUED):
                 continue
+            spec = row.get("spec") or {}
+            if isinstance(spec, dict) and "engine" in spec:
+                spec = {**spec, "engine": stored_engine(spec["engine"])}
             try:
-                request = parse_request(row.get("spec") or {})
+                request = parse_request(spec)
                 campaign = self._submit(
                     str(row.get("tenant") or "anonymous"), request)
             except (SpecError, QuotaExceeded, HttpError):

@@ -25,7 +25,7 @@ import json
 import sys
 from typing import List, Optional
 
-from ..cpu.interpreter import registered_engines
+from ..cpu.interpreter import ENGINES
 from ..faults.models import DEFAULT_MODEL, model_names
 from ..lab.store import default_store_path
 from .admission import TenantQuotas
@@ -102,7 +102,7 @@ def _submit_parser() -> argparse.ArgumentParser:
     parser.add_argument("--fault-model", default=DEFAULT_MODEL,
                         choices=model_names())
     parser.add_argument("--engine", default="compiled",
-                        choices=registered_engines())
+                        choices=ENGINES)
     parser.add_argument("--scale", default="test",
                         choices=("test", "perf"))
     parser.add_argument("--injections", type=int, default=None)

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from typing import Dict, Optional
 
-from ..cpu.interpreter import registered_engines
+from ..cpu.interpreter import ENGINES
 from ..faults.campaign import CampaignConfig
 from ..faults.models import DEFAULT_MODEL, model_names
 from ..lab.store import digest_of
@@ -153,11 +153,11 @@ def parse_request(payload: object) -> CampaignRequest:
                         f"unknown fault model {fault_model!r}; see "
                         f"{', '.join(model_names())}")
 
-    engine = payload.get("engine", "decoded")
-    if engine not in registered_engines():
+    engine = payload.get("engine", "compiled")
+    if engine not in ENGINES:
         raise SpecError("engine",
-                        f"unknown engine {engine!r}; registered: "
-                        f"{', '.join(registered_engines())}")
+                        f"unknown engine {engine!r}; see "
+                        f"{', '.join(ENGINES)}")
 
     ci_target = payload.get("ci_target")
     if ci_target is not None:

@@ -1,4 +1,4 @@
-"""Differential fuzz: the compiled execution core vs decoded vs reference.
+"""Differential fuzz: the compiled execution core vs the reference.
 
 Randomly generated small modules — nested branches, counted loops,
 defined calls (pure leaves the segment compiler inlines and impure
@@ -8,21 +8,24 @@ tier, through mid-run capture/resume, through batched injection, and
 through every registered fault model. Outcomes, output streams, stream
 counters, and architectural counters must be bit-identical everywhere:
 the compiled core is admissible only as a pure performance change.
+``count_only`` runs put every eligible frame on the record handlers,
+so they check the record path that armed frames, capture and budget
+bails fall back to.
 
-The file also pins the compiled core's supporting machinery: the
-engine registry (``MachineConfig.engine`` validation,
-``register_engine``), the cross-instance compiled-code cache (warm
-compiles are 100% digest hits), and the ``engine-compile`` lab event.
+The file also pins the compiled core's supporting machinery:
+``MachineConfig.engine`` validation, the cross-instance compiled-code
+cache (warm compiles are 100% digest hits), and the ``engine-compile``
+lab event.
 """
 
 import random
 
 import pytest
 
-import repro.cpu.compiled as compiled_mod
 import repro.faults.campaign as campaign_mod
 from repro.cpu import Machine, MachineConfig
 from repro.cpu.compiled import (
+    COMPILE_STATS,
     add_compile_hook,
     capture_state,
     code_cache_clear,
@@ -30,11 +33,7 @@ from repro.cpu.compiled import (
     resume_run,
     run_resumable,
 )
-from repro.cpu.interpreter import (
-    FaultPlan,
-    register_engine,
-    registered_engines,
-)
+from repro.cpu.interpreter import FaultPlan
 from repro.cpu.intrinsics import rt_print_i64
 from repro.faults import (
     CampaignConfig,
@@ -49,17 +48,28 @@ from repro.passes import elzar_transform, mem2reg
 
 from ..conftest import make_function
 
-ENGINES = ("reference", "decoded", "compiled")
+ENGINES = ("reference", "compiled")
 
 PURE_OPS = ("add", "sub", "mul", "and", "or", "xor", "shl", "lshr", "ashr")
 CMPS = ("eq", "ne", "ult", "ule", "slt", "sle", "sgt", "uge")
 
 
 @pytest.fixture(autouse=True)
-def _strict_compile(monkeypatch):
+def _no_compile_fallbacks():
     # Surface segment-compiler bugs as failures instead of silent
     # (bit-identical) fallbacks to the record path.
-    monkeypatch.setattr(compiled_mod, "STRICT_COMPILE", True)
+    before = COMPILE_STATS.fallbacks
+    errors = []
+
+    def hook(payload):
+        errors.extend(payload["fallback_errors"])
+
+    add_compile_hook(hook)
+    try:
+        yield
+    finally:
+        remove_compile_hook(hook)
+    assert COMPILE_STATS.fallbacks == before, errors
 
 
 def _rand_leaf(module, rng, idx):
@@ -188,11 +198,29 @@ def test_random_modules_identical_across_engines(seed):
                 for engine in ENGINES}
     finally:
         remove_compile_hook(payloads.append)
-    assert runs["decoded"] == runs["reference"]
     assert runs["compiled"] == runs["reference"]
     # The compiled run must actually have compiled something — an
     # all-fallback run would make this test vacuous.
     assert sum(p["segments"] for p in payloads) > 0
+
+
+@pytest.mark.parametrize("collect_timing", [True, False],
+                         ids=["timing", "plain"])
+@pytest.mark.parametrize("seed", range(8))
+def test_count_only_record_path_identical(seed, collect_timing):
+    """``count_only`` marks every eligible frame for per-record
+    bookkeeping, so the compiled engine runs those frames on the record
+    handlers: output, counters, cycles and the full stream profile must
+    match the reference. Odd seeds are hardened, so checker sites and
+    the hardening intrinsics' records are covered too."""
+    module, entry, args = build_random_module(seed)
+    if seed % 2:
+        module = elzar_transform(mem2reg(module))
+    runs = {engine: _observe(module, entry, args, engine,
+                             collect_timing=collect_timing, count_only=True)
+            for engine in ENGINES}
+    assert runs["compiled"] == runs["reference"]
+    assert runs["reference"]["streams"][0] > 0
 
 
 @pytest.mark.parametrize("seed", range(0, 8, 2))
@@ -203,7 +231,6 @@ def test_armed_random_runs_identical_across_engines(seed):
     golden = {engine: _observe(module, entry, args, engine,
                                collect_timing=False, count_only=True)
               for engine in ENGINES}
-    assert golden["decoded"] == golden["reference"]
     assert golden["compiled"] == golden["reference"]
     eligible = golden["reference"]["streams"][0]
     budget = golden["reference"]["counters"]["instructions"] * 4 + 1000
@@ -215,7 +242,6 @@ def test_armed_random_runs_identical_across_engines(seed):
                                  collect_timing=False, plan=plan,
                                  max_instructions=budget)
                 for engine in ENGINES}
-        assert runs["decoded"] == runs["reference"], plan
         assert runs["compiled"] == runs["reference"], plan
 
 
@@ -226,7 +252,6 @@ def test_trapping_modules_identical_across_engines(seed):
             for engine in ENGINES}
     assert runs["reference"]["exc"] is not None
     assert runs["reference"]["exc"][0] == "ArithmeticFault"
-    assert runs["decoded"] == runs["reference"]
     assert runs["compiled"] == runs["reference"]
 
 
@@ -241,7 +266,6 @@ def test_budget_exhaustion_identical_across_engines(budget):
             for engine in ENGINES}
     assert runs["reference"]["exc"] is not None
     assert runs["reference"]["exc"][0] == "HangError"
-    assert runs["decoded"] == runs["reference"]
     assert runs["compiled"] == runs["reference"]
 
 
@@ -283,7 +307,7 @@ def test_compiled_resume_mid_run_matches_straight_run(seed, at):
 @pytest.mark.parametrize("model", model_names())
 def test_fault_models_identical_per_plan(seed, model):
     """Every fault model, on hardened random code: the per-plan outcome
-    *list* — sequential decoded, sequential compiled, and batched
+    *list* — sequential reference, sequential compiled, and batched
     compiled lanes — must be bit-identical."""
     module, entry, args = build_random_module(seed)
     module = elzar_transform(mem2reg(module))
@@ -296,7 +320,7 @@ def test_fault_models_identical_per_plan(seed, model):
     plans = draw_model_plans(profile, cfg)
 
     outcomes = {}
-    for key, engine, batch in (("decoded", "decoded", 1),
+    for key, engine, batch in (("reference", "reference", 1),
                                ("compiled", "compiled", 1),
                                ("compiled-batched", "compiled", 3)):
         campaign_mod._SESSION_TLS.__dict__.clear()
@@ -304,13 +328,13 @@ def test_fault_models_identical_per_plan(seed, model):
         outcomes[key] = run_plans(module, entry, args, plans, reference,
                                   budget, engine=engine, batch=batch,
                                   fault_model=model, snap=False)
-    assert outcomes["compiled"] == outcomes["decoded"], model
-    assert outcomes["compiled-batched"] == outcomes["decoded"], model
+    assert outcomes["compiled"] == outcomes["reference"], model
+    assert outcomes["compiled-batched"] == outcomes["reference"], model
 
 
 def test_fault_plans_with_snap_resume_identical():
     """Checkpoint-resumed injection on the compiled engine returns the
-    exact outcome list of from-scratch decoded injection."""
+    exact outcome list of from-scratch reference injection."""
     module, entry, args = build_random_module(3)
     module = elzar_transform(mem2reg(module))
     golden = Machine(module, MachineConfig(engine="compiled",
@@ -322,39 +346,23 @@ def test_fault_plans_with_snap_resume_identical():
     plans = draw_model_plans(profile, cfg)
 
     outcomes = {}
-    for engine, snap in (("decoded", False), ("compiled", True)):
+    for engine, snap in (("reference", False), ("compiled", True)):
         campaign_mod._SESSION_TLS.__dict__.clear()
         module._golden_cache.clear()
         outcomes[(engine, snap)] = run_plans(
             module, entry, args, plans, reference, budget,
             engine=engine, snap=snap)
-    assert outcomes[("compiled", True)] == outcomes[("decoded", False)]
+    assert outcomes[("compiled", True)] == outcomes[("reference", False)]
 
 
 def test_machine_config_rejects_unknown_engine():
-    with pytest.raises(ValueError, match="unknown engine"):
-        MachineConfig(engine="jit")
-    # The error names the registered engines so the fix is self-evident.
-    try:
-        MachineConfig(engine="jit")
-    except ValueError as exc:
-        for name in ("reference", "decoded", "compiled"):
-            assert name in str(exc)
-
-
-def test_register_engine_round_trip():
-    from repro.cpu.interpreter import _ENGINE_SPECS
-
-    assert set(ENGINES) <= set(registered_engines())
-    register_engine("experimental", ("repro.cpu.compiled", "run_decoded"))
-    try:
-        assert "experimental" in registered_engines()
-        module, entry, args = build_random_module(6)
-        got = _observe(module, entry, args, "experimental")
-        want = _observe(module, entry, args, "decoded")
-        assert got == want
-    finally:
-        _ENGINE_SPECS.pop("experimental", None)
+    # The error names both engines so the fix is self-evident; the
+    # retired record-only "decoded" tier is as unknown as a typo.
+    for engine in ("jit", "decoded"):
+        with pytest.raises(ValueError, match="unknown engine") as info:
+            MachineConfig(engine=engine)
+        for name in ("reference", "compiled"):
+            assert name in str(info.value)
 
 
 def test_warm_compile_is_all_code_cache_hits():

@@ -1,13 +1,15 @@
-"""Differential tests: pre-decoded engine vs reference interpreter.
+"""Differential tests: compiled engine vs reference interpreter.
 
-The decoded engine (``repro.cpu.engine``) is a pure performance
+The compiled engine (``repro.cpu.compiled``) is a pure performance
 optimisation — for every workload it must reproduce the reference
 interpreter *bit for bit*: outputs, every architectural counter
 (instructions, uops, loads, stores, branches, cache hierarchy, branch
 misses, by-opcode histogram), cycle counts, ILP, and the fault-injection
 observables (eligible counts, injection site, outcome). These tests
-sweep all 14 kernels, the three case-study apps, hardened builds, and
-armed fault runs through both engines and require exact equality.
+sweep all 14 kernels, the three case-study apps, hardened builds,
+``count_only`` profiling runs (every eligible frame on the record
+handlers) and armed fault runs through both engines and require exact
+equality.
 """
 
 import random
@@ -20,13 +22,14 @@ from repro.cpu import Machine, MachineConfig
 from repro.cpu.interpreter import FaultPlan
 from repro.faults import (
     CampaignConfig,
+    StreamProfile,
     draw_model_plans,
     golden_profile,
-    golden_run,
     model_names,
     run_campaign,
 )
 from repro.passes import elzar_transform, mem2reg
+from repro.toolchain import default_toolchain
 from repro.workloads import ALL
 from repro.workloads.registry import BENCHMARKS
 
@@ -34,11 +37,12 @@ KERNELS = [w.name for w in BENCHMARKS]
 
 
 def run_engine(module, entry, args, engine, collect_timing=True, plan=None,
-               max_instructions=None):
+               max_instructions=None, count_only=False):
     config = MachineConfig(engine=engine, collect_timing=collect_timing)
     if max_instructions is not None:
         config.max_instructions = max_instructions
     machine = Machine(module, config)
+    machine.count_only = count_only
     if plan is not None:
         machine.arm_fault(plan)
     outcome = None
@@ -50,21 +54,34 @@ def run_engine(module, entry, args, engine, collect_timing=True, plan=None,
     return machine, result, outcome
 
 
-def assert_identical(module, entry, args, collect_timing=True):
-    _, ref, ref_exc = run_engine(module, entry, args, "reference",
-                                 collect_timing)
-    _, dec, dec_exc = run_engine(module, entry, args, "decoded",
-                                 collect_timing)
-    assert dec_exc == ref_exc
+def stream_profile(machine):
+    return StreamProfile(
+        eligible=machine.eligible_executed,
+        executed=machine.counters.instructions,
+        mem_accesses=machine.mem_accesses_eligible,
+        cond_branches=machine.cond_branches_eligible,
+        checker_sites=machine.checker_sites_executed,
+    )
+
+
+def assert_identical(module, entry, args, collect_timing=True,
+                     count_only=False):
+    ref_m, ref, ref_exc = run_engine(module, entry, args, "reference",
+                                     collect_timing, count_only=count_only)
+    com_m, com, com_exc = run_engine(module, entry, args, "compiled",
+                                     collect_timing, count_only=count_only)
+    assert com_exc == ref_exc
+    if count_only:
+        assert stream_profile(com_m) == stream_profile(ref_m)
     if ref is None:
         return None, None
-    assert dec.value == ref.value
-    assert dec.output == ref.output
-    assert dec.counters.as_dict() == ref.counters.as_dict()
+    assert com.value == ref.value
+    assert com.output == ref.output
+    assert com.counters.as_dict() == ref.counters.as_dict()
     if collect_timing:
-        assert dec.cycles == ref.cycles
-        assert dec.ilp == ref.ilp
-    return dec, ref
+        assert com.cycles == ref.cycles
+        assert com.ilp == ref.ilp
+    return com, ref
 
 
 @pytest.mark.parametrize("name", KERNELS)
@@ -98,6 +115,21 @@ def test_kernel_identical_without_timing(name):
                      collect_timing=False)
 
 
+@pytest.mark.parametrize("collect_timing", [True, False],
+                         ids=["timing", "plain"])
+@pytest.mark.parametrize("name,version", [
+    ("histogram", "native"), ("histogram", "elzar"),
+    ("blackscholes", "elzar"), ("word_count", "swiftr"),
+])
+def test_count_only_record_path_identical(name, version, collect_timing):
+    """count_only puts every eligible frame on the record handlers, so
+    each handler is checked against the reference, with and without
+    the timing model, on the fi-scale builds campaigns run."""
+    built = default_toolchain().build(name, "fi", version)
+    assert_identical(built.module, built.entry, built.args,
+                     collect_timing=collect_timing, count_only=True)
+
+
 @pytest.mark.parametrize("name", ["histogram", "blackscholes"])
 def test_armed_runs_identical(name):
     """Fault-injection runs agree on every observable: the eligible
@@ -105,13 +137,14 @@ def test_armed_runs_identical(name):
     exception, and the counters."""
     built = ALL[name].build_at("test")
     module, entry, args = built.module, built.entry, built.args
-    _, eligible, executed = golden_run(module, entry, args)
+    _, profile = golden_profile(module, entry, args)
+    eligible, executed = profile.eligible, profile.executed
     rng = random.Random(name)
     for _ in range(6):
         plan = FaultPlan(target_index=rng.randrange(eligible),
                          bit=rng.randrange(64), lane=rng.randrange(4))
         runs = {}
-        for engine in ("reference", "decoded"):
+        for engine in ("reference", "compiled"):
             machine, result, exc = run_engine(
                 module, entry, args, engine, collect_timing=False,
                 plan=plan, max_instructions=executed * 4,
@@ -124,13 +157,13 @@ def test_armed_runs_identical(name):
                 result.output if result else None,
                 machine.counters.as_dict(),
             )
-        assert runs["decoded"] == runs["reference"], plan
+        assert runs["compiled"] == runs["reference"], plan
 
 
 @pytest.mark.parametrize("model", model_names())
 def test_fault_models_identical_per_plan(model):
     """For every registered fault model, the interpreter and the
-    decoded engine must classify the identical per-plan observables:
+    compiled engine must classify the identical per-plan observables:
     same streams counted, same injection site, same output or trap.
     This is the contract that lets the durable store share shard rows
     between engines."""
@@ -143,7 +176,7 @@ def test_fault_models_identical_per_plan(model):
     budget = profile.executed * 4 + 10_000
     for plan in plans:
         runs = {}
-        for engine in ("reference", "decoded"):
+        for engine in ("reference", "compiled"):
             machine, result, exc = run_engine(
                 module, entry, args, engine, collect_timing=False,
                 plan=plan, max_instructions=budget,
@@ -159,7 +192,7 @@ def test_fault_models_identical_per_plan(model):
                 tuple(result.output) if result else None,
                 machine.counters.corrections,
             )
-        assert runs["decoded"] == runs["reference"], (model, plan)
+        assert runs["compiled"] == runs["reference"], (model, plan)
 
 
 @pytest.mark.parametrize("model", model_names())
@@ -169,14 +202,14 @@ def test_fault_model_campaign_counts_identical(model):
     built = ALL["histogram"].build_at("test")
     module = elzar_transform(mem2reg(built.module))
     counts = {}
-    for engine in ("reference", "decoded"):
+    for engine in ("reference", "compiled"):
         cfg = CampaignConfig(injections=12, seed=21, fault_model=model,
                              engine=engine)
         result = run_campaign(module, built.entry, built.args, "h", "elzar",
                               cfg)
         assert result.fault_model == model
         counts[engine] = dict(result.counts)
-    assert counts["decoded"] == counts["reference"]
+    assert counts["compiled"] == counts["reference"]
 
 
 def test_count_only_mode_matches_engines():
@@ -184,39 +217,39 @@ def test_count_only_mode_matches_engines():
     identically on both engines and identically to an armed run."""
     built = ALL["kmeans"].build_at("test")
     counts = {}
-    for engine in ("reference", "decoded"):
+    for engine in ("reference", "compiled"):
         machine = Machine(built.module,
                           MachineConfig(engine=engine, collect_timing=False))
         machine.count_only = True
         result = machine.run(built.entry, built.args)
         assert not machine.fault_injected
         counts[engine] = (machine.eligible_executed, tuple(result.output))
-    assert counts["decoded"] == counts["reference"]
-    assert counts["decoded"][0] > 0
+    assert counts["compiled"] == counts["reference"]
+    assert counts["compiled"][0] > 0
 
 
-def test_golden_run_has_no_sentinel_plan():
-    """golden_run must not arm any fault plan (the old target_index=-1
-    sentinel hack) — eligible counting rides on count_only mode."""
+def test_golden_profile_has_no_sentinel_plan():
+    """golden_profile must not arm any fault plan (the old
+    target_index=-1 sentinel hack) — eligible counting rides on
+    count_only mode."""
     built = ALL["histogram"].build_at("test")
-    output, eligible, executed = golden_run(built.module, built.entry,
-                                            built.args)
+    output, profile = golden_profile(built.module, built.entry, built.args)
     assert output == built.expected
-    assert 0 < eligible <= executed
+    assert 0 < profile.eligible <= profile.executed
 
 
-def test_golden_run_cache_hit_and_invalidation():
+def test_golden_profile_cache_hit_and_invalidation():
     built = ALL["histogram"].build_at("test")
     module = built.module
     module._golden_cache.clear()
-    first = golden_run(module, built.entry, built.args)
+    first = golden_profile(module, built.entry, built.args)
     assert len(module._golden_cache) == 1
-    second = golden_run(module, built.entry, built.args)
+    second = golden_profile(module, built.entry, built.args)
     assert second == first
     assert len(module._golden_cache) == 1
     module.bump_version()
     assert len(module._golden_cache) == 0
-    third = golden_run(module, built.entry, built.args)
+    third = golden_profile(module, built.entry, built.args)
     assert third == first
 
 

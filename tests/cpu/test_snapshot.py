@@ -56,7 +56,7 @@ class TestSnapshotRoundTrip:
     @pytest.mark.parametrize("name,version", WORKLOADS)
     def test_restore_then_run_is_bit_identical(self, name, version):
         module, entry, args = build(name, version)
-        machine = Machine(module, MachineConfig(engine="decoded"))
+        machine = Machine(module, MachineConfig(engine="compiled"))
         snap = machine.snapshot()
         first = observe(machine, entry, args)
         # The first run dirtied heap, counters, caches; restore must
@@ -67,16 +67,16 @@ class TestSnapshotRoundTrip:
 
     def test_restore_equals_fresh_machine(self):
         module, entry, args = build("histogram", "elzar")
-        machine = Machine(module, MachineConfig(engine="decoded"))
+        machine = Machine(module, MachineConfig(engine="compiled"))
         snap = machine.snapshot()
         observe(machine, entry, args)
         machine.restore(snap)
-        fresh = Machine(module, MachineConfig(engine="decoded"))
+        fresh = Machine(module, MachineConfig(engine="compiled"))
         assert observe(machine, entry, args) == observe(fresh, entry, args)
 
     def test_repeated_restores_stay_identical(self):
         module, entry, args = build("histogram", "native")
-        machine = Machine(module, MachineConfig(engine="decoded"))
+        machine = Machine(module, MachineConfig(engine="compiled"))
         snap = machine.snapshot()
         runs = []
         for _ in range(3):
@@ -94,7 +94,7 @@ class TestSnapshotRoundTrip:
         # snapshot() captures armed-but-unfired plans; a restored run
         # must fire the same fault at the same dynamic site.
         module, entry, args = build("histogram", "elzar")
-        machine = Machine(module, MachineConfig(engine="decoded"))
+        machine = Machine(module, MachineConfig(engine="compiled"))
         machine.arm_fault(plan)
         snap = machine.snapshot()
         first = observe(machine, entry, args)
@@ -106,7 +106,7 @@ class TestSnapshotRoundTrip:
         # the machine with live frames and a half-written heap; restore
         # must still recover a clean golden run.
         module, entry, args = build("histogram", "native")
-        machine = Machine(module, MachineConfig(engine="decoded"))
+        machine = Machine(module, MachineConfig(engine="compiled"))
         snap = machine.snapshot()
         golden = observe(machine, entry, args)
         assert golden[0] == "ok"
@@ -146,8 +146,8 @@ class TestResumableTrampoline:
     @pytest.mark.parametrize("name,version", WORKLOADS)
     def test_trampoline_matches_recursive(self, name, version):
         module, entry, args = build(name, version)
-        rec = Machine(module, MachineConfig(engine="decoded"))
-        tram = Machine(module, MachineConfig(engine="decoded"))
+        rec = Machine(module, MachineConfig(engine="compiled"))
+        tram = Machine(module, MachineConfig(engine="compiled"))
         r1 = rec.run(entry, args)
         r2 = run_resumable(tram, entry, args)
         assert list(r1.output) == list(r2.output)
@@ -162,8 +162,8 @@ class TestResumableTrampoline:
     ])
     def test_trampoline_matches_across_configs(self, kwargs):
         module, entry, args = build("histogram", "elzar")
-        rec = Machine(module, MachineConfig(engine="decoded", **kwargs))
-        tram = Machine(module, MachineConfig(engine="decoded", **kwargs))
+        rec = Machine(module, MachineConfig(engine="compiled", **kwargs))
+        tram = Machine(module, MachineConfig(engine="compiled", **kwargs))
         r1 = rec.run(entry, args)
         r2 = run_resumable(tram, entry, args)
         assert list(r1.output) == list(r2.output)
@@ -173,10 +173,10 @@ class TestResumableTrampoline:
     @pytest.mark.parametrize("name,version", WORKLOADS)
     def test_trampoline_count_only_streams_match(self, name, version):
         module, entry, args = build(name, version)
-        rec = Machine(module, MachineConfig(engine="decoded",
+        rec = Machine(module, MachineConfig(engine="compiled",
                                             collect_timing=False))
         rec.count_only = True
-        tram = Machine(module, MachineConfig(engine="decoded",
+        tram = Machine(module, MachineConfig(engine="compiled",
                                              collect_timing=False))
         tram.count_only = True
         r1 = rec.run(entry, args)
@@ -187,9 +187,9 @@ class TestResumableTrampoline:
     def test_trampoline_faulted_run_matches_recursive(self):
         module, entry, args = build("histogram", "elzar")
         plan = FaultPlan(target_index=40, bit=62, lane=2)
-        rec = Machine(module, MachineConfig(engine="decoded"))
+        rec = Machine(module, MachineConfig(engine="compiled"))
         rec.arm_fault(plan)
-        tram = Machine(module, MachineConfig(engine="decoded"))
+        tram = Machine(module, MachineConfig(engine="compiled"))
         tram.arm_fault(plan)
         r1 = rec.run(entry, args)
         r2 = run_resumable(tram, entry, args)
@@ -202,11 +202,11 @@ class TestResumableTrampoline:
         # path), resume with no plans on a second machine: the tail must
         # complete to the golden output with golden counters.
         module, entry, args = build("histogram", "elzar")
-        golden = Machine(module, MachineConfig(engine="decoded",
+        golden = Machine(module, MachineConfig(engine="compiled",
                                                collect_timing=False))
         reference = golden.run(entry, args)
 
-        cap = Machine(module, MachineConfig(engine="decoded",
+        cap = Machine(module, MachineConfig(engine="compiled",
                                             collect_timing=False))
         cap.count_only = True
         policy = _TakeOnce(at)
@@ -215,7 +215,7 @@ class TestResumableTrampoline:
         state = policy.states[0]
         assert state.eligible >= at
 
-        resumed = Machine(module, MachineConfig(engine="decoded",
+        resumed = Machine(module, MachineConfig(engine="compiled",
                                                 collect_timing=False))
         result = resume_run(resumed, state, ())
         assert list(result.output) == list(reference.output)
@@ -225,10 +225,10 @@ class TestResumableTrampoline:
         # A run with a capture hook produces the same result as one
         # without: take() only copies.
         module, entry, args = build("blackscholes", "elzar")
-        plain = Machine(module, MachineConfig(engine="decoded"))
+        plain = Machine(module, MachineConfig(engine="compiled"))
         plain.count_only = True
         r1 = run_resumable(plain, entry, args)
-        hooked = Machine(module, MachineConfig(engine="decoded"))
+        hooked = Machine(module, MachineConfig(engine="compiled"))
         hooked.count_only = True
         policy = _TakeOnce(100)
         r2 = run_resumable(hooked, entry, args, capture=policy)
@@ -240,13 +240,13 @@ class TestResumableTrampoline:
         # One state, resumed three times on the same machine (the
         # injection-session reuse pattern): identical every time.
         module, entry, args = build("histogram", "native")
-        cap = Machine(module, MachineConfig(engine="decoded",
+        cap = Machine(module, MachineConfig(engine="compiled",
                                             collect_timing=False))
         cap.count_only = True
         policy = _TakeOnce(200)
         run_resumable(cap, entry, args, capture=policy)
         state = policy.states[0]
-        machine = Machine(module, MachineConfig(engine="decoded",
+        machine = Machine(module, MachineConfig(engine="compiled",
                                                 collect_timing=False))
         plan = FaultPlan(target_index=state.eligible + 50, bit=7, lane=0)
         runs = []

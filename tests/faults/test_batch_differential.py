@@ -48,7 +48,7 @@ def cell():
     return module, entry, args, reference, profile, budget
 
 
-def scalar_baseline(cell, plans, engine="decoded"):
+def scalar_baseline(cell, plans, engine="compiled"):
     module, entry, args, reference, _, budget = cell
     return [inject_once(module, entry, args, plan, reference, budget,
                         engine=engine) for plan in plans]

@@ -6,7 +6,7 @@ from repro.faults import (
     CampaignConfig,
     CampaignResult,
     Outcome,
-    golden_run,
+    golden_profile,
     inject_once,
     run_campaign,
 )
@@ -53,14 +53,14 @@ class TestOutcomes:
 class TestGoldenRun:
     def test_reference_output_and_counts(self, hist):
         module, built = hist
-        output, eligible, executed = golden_run(module, built.entry, built.args)
+        output, profile = golden_profile(module, built.entry, built.args)
         assert output == built.expected
-        assert 0 < eligible <= executed
+        assert 0 < profile.eligible <= profile.executed
 
     def test_deterministic(self, hist):
         module, built = hist
-        a = golden_run(module, built.entry, built.args)
-        b = golden_run(module, built.entry, built.args)
+        a = golden_profile(module, built.entry, built.args)
+        b = golden_profile(module, built.entry, built.args)
         assert a == b
 
 
@@ -68,11 +68,11 @@ class TestInjectOnce:
     def test_masked_fault(self, hist):
         """Flipping a dead-upper bit of an i8-wide value is masked."""
         module, built = hist
-        reference, eligible, executed = golden_run(module, built.entry, built.args)
+        reference, profile = golden_profile(module, built.entry, built.args)
         outcome = inject_once(
             module, built.entry, built.args,
-            FaultPlan(target_index=eligible - 1, bit=62),
-            reference, budget=executed * 4,
+            FaultPlan(target_index=profile.eligible - 1, bit=62),
+            reference, budget=profile.executed * 4,
         )
         assert outcome in (Outcome.MASKED, Outcome.SDC, Outcome.OS_DETECTED)
 

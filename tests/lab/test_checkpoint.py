@@ -133,7 +133,7 @@ class TestSpecKeys:
         interchangeable store rows."""
         a = build_spec(hist_module, "main", (),
                        CampaignConfig(injections=10, seed=3,
-                                      engine="decoded"), population=100)
+                                      engine="compiled"), population=100)
         b = build_spec(hist_module, "main", (),
                        CampaignConfig(injections=10, seed=3,
                                       engine="reference"), population=100)

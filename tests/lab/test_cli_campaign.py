@@ -68,6 +68,43 @@ class TestCampaignCommand:
         assert resumed["cells"][0]["rates"] == reference["cells"][0]["rates"]
         assert resumed["store"]["shards_from_store"] == 1
 
+    def test_resume_manifest_naming_retired_engine_runs_compiled(
+            self, lab_store, tmp_path, monkeypatch, capsys):
+        # Manifests written before the record-only "decoded" engine was
+        # retired name it; --resume runs them on "compiled" and still
+        # replays the banked shard (engines are not in store keys).
+        import sqlite3
+
+        import repro.lab.cli as cli_mod
+
+        assert _campaign("--interrupt-after-shards", "1") == 130
+        conn = sqlite3.connect(lab_store)
+        (spec_text,) = conn.execute(
+            "SELECT spec FROM runs WHERE status = 'running'").fetchone()
+        spec = json.loads(spec_text)
+        assert spec["engine"] == "compiled"
+        spec["engine"] = "decoded"
+        conn.execute("UPDATE runs SET spec = ? WHERE status = 'running'",
+                     (json.dumps(spec, sort_keys=True),))
+        conn.commit()
+        conn.close()
+
+        engines = []
+        real_config = cli_mod.CampaignConfig
+
+        def spy(**kwargs):
+            engines.append(kwargs["engine"])
+            return real_config(**kwargs)
+
+        monkeypatch.setattr(cli_mod, "CampaignConfig", spy)
+        resumed_json = str(tmp_path / "resumed.json")
+        assert _campaign("--resume", "--json", resumed_json) == 0
+        assert "resuming interrupted campaign" in capsys.readouterr().out
+        assert engines == ["compiled"]
+        resumed = _report(resumed_json)
+        assert resumed["store"]["shards_from_store"] == 1
+        assert resumed["cells"][0]["injections_used"] == 20
+
     def test_resume_with_nothing_pending_starts_fresh(self, lab_store, capsys):
         assert _campaign("--resume") == 0
         out = capsys.readouterr().out

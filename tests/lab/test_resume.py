@@ -82,6 +82,36 @@ class TestDurableMatchesPlainCampaign:
         assert outcome.result.total == CONFIG["injections"]
 
 
+class TestRunCampaignIsDurable:
+    """``run_campaign`` is a store-less wrapper over the durable path."""
+
+    @pytest.mark.parametrize("workers", [1, pytest.param(
+        2, marks=pytest.mark.skipif(
+            not HAS_FORK, reason="requires the fork start method"))])
+    def test_equals_ephemeral_durable_campaign(self, cell, workers):
+        module, entry, args = cell
+        config = CampaignConfig(workers=workers, **CONFIG)
+        plain = run_campaign(module, entry, args, "histogram", "elzar",
+                             config)
+        durable = run_durable_campaign(module, entry, args, "histogram",
+                                       "elzar", config, store=False).result
+        assert plain.counts == durable.counts
+        assert plain.total == CONFIG["injections"]
+        assert (plain.workload, plain.version, plain.fault_model) == (
+            durable.workload, durable.version, durable.fault_model)
+
+    @pytest.mark.skipif(not HAS_FORK, reason="requires the fork start method")
+    def test_forked_campaign_builds_checkpoints_before_forking(self, cell):
+        # Shard workers inherit the cell's checkpoint set from the
+        # parent's module cache instead of each capturing or loading
+        # their own, so the parent must hold it once the run returns.
+        module, entry, args = cell
+        module._golden_cache.clear()
+        _durable(cell, False, workers=2)
+        assert any(key[0] == "snap-set" for key in module._golden_cache
+                   if isinstance(key, tuple))
+
+
 class TestInterruptResume:
     @worker_counts
     def test_bit_identical_after_resume(self, cell, baseline, tmp_path,

@@ -169,19 +169,6 @@ class TestForkedPath:
 
 @fork_only
 class TestEventDrivenWait:
-    def test_huge_poll_interval_is_harmless(self):
-        # The supervisor blocks on the worker pipes rather than
-        # sleeping poll_interval between scans; a pathological value
-        # must not slow the run down (it used to gate every scan).
-        shards = _shards(n_plans=12, shard_size=4)
-        results, on_result = _collect()
-        started = time.monotonic()
-        ShardScheduler(SchedulerPolicy(workers=2, poll_interval=30.0)).run(
-            shards, _runner, on_result
-        )
-        assert time.monotonic() - started < 10.0
-        assert sorted(results) == [s.index for s in shards]
-
     def test_retry_backoff_still_honoured(self):
         # With no live pipes to wait on, the supervisor must still
         # sleep until the crashed shard's retry becomes eligible

@@ -107,6 +107,16 @@ class TestLifecycle:
         assert exc.value.payload["code"] == "invalid-spec"
         assert exc.value.payload["field"] == "workload"
 
+    def test_retired_engine_400(self, service):
+        # The record-only "decoded" tier is gone: a fresh spec naming
+        # it gets the structured unknown-engine error.
+        _, host, port = service
+        with pytest.raises(ServiceError) as exc:
+            _client(host, port).submit({**_SPEC, "engine": "decoded"})
+        assert exc.value.status == 400
+        assert exc.value.payload["code"] == "invalid-spec"
+        assert exc.value.payload["field"] == "engine"
+
     def test_status_endpoint(self, service):
         _, host, port = service
         client = _client(host, port)

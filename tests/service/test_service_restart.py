@@ -132,6 +132,36 @@ class TestColdStartRecovery:
         finally:
             service2.stop()
 
+    def test_row_naming_retired_engine_is_resubmitted(self, tmp_path):
+        # Manifests written before the record-only "decoded" engine was
+        # retired name it. Recovery runs such a row on "compiled"
+        # (bit-identical counts; engines are not in store keys) rather
+        # than skipping it as an invalid spec.
+        from dataclasses import replace
+
+        from repro.service.spec import parse_request
+
+        request = replace(parse_request(_SPEC), engine="decoded")
+        write_manifest(str(tmp_path / "store.sqlite.manifest.json"),
+                       [_campaign(request)], reason="drain")
+        service, host, port = _start(tmp_path, max_running=1)
+        try:
+            client = ServiceClient(host, port, tenant="alice")
+            recovered = None
+            deadline = time.time() + 120.0
+            while time.time() < deadline:
+                recovered = next(
+                    (r for r in client.campaigns()["campaigns"]
+                     if r.get("resumed_from") == "c0001-aaaaaaaa"), None)
+                if recovered and recovered["status"] == "succeeded":
+                    break
+                time.sleep(0.1)
+            assert recovered is not None, "manifest row was skipped"
+            assert recovered["status"] == "succeeded"
+            assert recovered["spec"]["engine"] == "compiled"
+        finally:
+            service.stop()
+
     def test_torn_manifest_starts_fresh_without_crashing(self, tmp_path):
         manifest_path = tmp_path / "store.sqlite.manifest.json"
         manifest_path.write_text('{"version": 1, "campaigns": [{"tr')

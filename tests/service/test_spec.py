@@ -5,6 +5,7 @@ import pytest
 
 from repro.service.spec import (
     MAX_INJECTIONS,
+    CampaignRequest,
     SpecError,
     parse_request,
 )
@@ -79,9 +80,16 @@ class TestValidation:
             _parse(ci_target="tight")
 
     def test_bad_engine_rejected(self):
-        with pytest.raises(SpecError) as exc:
-            _parse(engine="quantum")
-        assert exc.value.field == "engine"
+        # "decoded" is the retired record-only engine tier.
+        for engine in ("quantum", "decoded"):
+            with pytest.raises(SpecError) as exc:
+                _parse(engine=engine)
+            assert exc.value.field == "engine"
+            assert "compiled" in exc.value.message
+
+    def test_default_engine_is_compiled(self):
+        assert _parse().engine == "compiled"
+        assert _parse().engine == CampaignRequest(**_BASE).engine
 
 
 class TestDigest:

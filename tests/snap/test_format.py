@@ -43,11 +43,11 @@ def _capture(module, entry, args, config, at=400):
 
 
 CONFIGS = [
-    MachineConfig(engine="decoded", collect_timing=False),
-    MachineConfig(engine="decoded", collect_timing=True),
-    MachineConfig(engine="decoded", cache_enabled=False,
+    MachineConfig(engine="compiled", collect_timing=False),
+    MachineConfig(engine="compiled", collect_timing=True),
+    MachineConfig(engine="compiled", cache_enabled=False,
                   collect_timing=False),
-    MachineConfig(engine="decoded", collect_by_opcode=True,
+    MachineConfig(engine="compiled", collect_by_opcode=True,
                   collect_timing=True),
 ]
 
@@ -76,7 +76,7 @@ class TestRoundTrip:
         built = default_toolchain().build("histogram", "test", "elzar")
         machine, state = _capture(
             built.module, built.entry, built.args,
-            MachineConfig(engine="decoded", collect_timing=False),
+            MachineConfig(engine="compiled", collect_timing=False),
         )
         blob = serialize_state(state, machine)
         # serialize(deserialize(blob)) == blob pins both directions.
@@ -87,7 +87,7 @@ class TestRoundTrip:
         built = default_toolchain().build("histogram", "test", "native")
         machine, state = _capture(
             built.module, built.entry, built.args,
-            MachineConfig(engine="decoded", collect_timing=False),
+            MachineConfig(engine="compiled", collect_timing=False),
         )
         blob = serialize_state(state, machine)
         # Truncations and a bad magic must all be detected up front.
@@ -105,7 +105,7 @@ class TestMemoryImageValidation:
     @pytest.fixture(scope="class")
     def captured(self):
         built = default_toolchain().build("histogram", "test", "native")
-        config = MachineConfig(engine="decoded", collect_timing=False)
+        config = MachineConfig(engine="compiled", collect_timing=False)
         machine, state = _capture(built.module, built.entry, built.args,
                                   config)
         return built, config, machine, state

@@ -67,7 +67,7 @@ class TestCheckpointKey:
         built = _built()
         from repro.cpu.interpreter import MachineConfig
 
-        mkey = machine_key(MachineConfig(engine="decoded"))
+        mkey = machine_key(MachineConfig(engine="compiled"))
         base = checkpoint_key(built.module, built.entry, ("a",), (),
                               "register-bitflip", 1000, mkey,
                               PlacementConfig().cache_key())
@@ -84,7 +84,7 @@ class TestCheckpointKey:
             checkpoint_key(
                 built.module, built.entry, ("a",), (),
                 "register-bitflip", 1000,
-                machine_key(MachineConfig(engine="decoded",
+                machine_key(MachineConfig(engine="compiled",
                                           cache_enabled=False)),
                 PlacementConfig().cache_key()),
         ]
@@ -94,7 +94,7 @@ class TestCheckpointKey:
         built = _built()
         from repro.cpu.interpreter import MachineConfig
 
-        mkey = machine_key(MachineConfig(engine="decoded"))
+        mkey = machine_key(MachineConfig(engine="compiled"))
         k1 = checkpoint_key(built.module, built.entry, (), (), "m", 9,
                             mkey, PlacementConfig().cache_key())
         k2 = checkpoint_key(built.module, built.entry, (), (), "m", 9,
