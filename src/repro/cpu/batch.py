@@ -32,8 +32,8 @@ Two further cuts make the asymptotic win real on one core:
 
 Classification parity: a forked lane inherits exactly the machine state
 a sequential ``inject_once`` run would have at the fault site (the
-parent's golden run walks the same record-path bookkeeping an armed
-frame uses), fires the same
+parent's golden run executes the same stepped segments, with the same
+eligible-stream bookkeeping, an armed frame runs), fires the same
 plan at the same dynamic event, and classifies by the same rules —
 trap class, output-vs-reference match, corrections count. The
 differential test matrix pins per-plan outcome identity against

@@ -1,37 +1,47 @@
 """The compiled execution core: one explicit-frame trampoline running
-decoded blocks either record-by-record or as compiled *segments* —
-specialized Python closures generated from the decoded stream
-(threaded code: each segment returns the next segment to run).
+compiled *segments* — specialized Python closures generated from the
+decoded blocks (threaded code: each segment returns the next segment
+to run). The emitter below is the only optimized copy of the
+instruction semantics; :mod:`repro.cpu.interpreter` is the oracle it is
+tested against.
 
 This module is the single substrate behind the ``compiled`` engine,
-the resumable checkpoint machinery
-(:mod:`repro.cpu.resumable` is now a compatibility shim over it) and
-the batched lane engine (:mod:`repro.cpu.batch`):
+the resumable checkpoint machinery (:mod:`repro.cpu.resumable`
+re-exports its public surface) and the batched lane engine
+(:mod:`repro.cpu.batch`):
 
 - **Trampoline** (:func:`run_stack`): the explicit frame stack. Defined
-  calls push a :class:`Frame` where the recursive engine would recurse,
-  so at any body-record boundary the complete run state is a plain data
-  structure (:class:`ResumeState`) that can be copied, serialized
-  (:mod:`repro.snap.format`) and resumed in another process.
+  calls push a :class:`Frame` where the recursive interpreter would
+  recurse, so at every block entry and post-call entry the complete
+  run state is a plain data structure (:class:`ResumeState`) that can
+  be copied, serialized (:mod:`repro.snap.format`) and resumed in
+  another process.
 - **Segment compiler** (:func:`ensure_compiled`): per basic block, the
   records between defined-call boundaries are compiled to one closure
   with operands resolved to register slots, semantics and the timing
   model's ``issue()`` inlined, cost-table entries baked in as literals,
   and branch targets resolved to the successor's segment (threaded
-  dispatch). Frames that need per-record bookkeeping — fault
-  injection, tracing, checkpoint capture — keep the record path;
-  segments are the ``engine="compiled"`` fast path for everything else.
+  dispatch). Every function compiles in up to four variants (see
+  :data:`VARIANTS`): *fast* segments (timing model on or off) check the
+  instruction budget once per span, merge call-free blocks into one
+  region loop and inline pure leaf callees; *stepped* segments check
+  the budget at every record, carry the eligible-stream bookkeeping
+  (fault plans, count-only profiling, trace hooks) and the memory and
+  branch stream hooks inline, and return to the trampoline at every
+  block entry and post-call entry so checkpoint capture can poll
+  there. The trampoline picks the variant from the frame's own state
+  and compiles it on first use.
 - **Code cache**: generated code objects are shared across machine
   instances keyed by the module's content digest (the same digest that
   keys the toolchain artifact cache), so campaigns compile once per
   cell and forked/batched/cluster workers reuse the compiled form.
 
-Bit-identity contract: a trampoline run — with or without segments —
-is indistinguishable from a recursive ``Machine.run``: return value,
-output, every counter (including the exact partial flushes of
-trap-abandoned blocks), cycles, branch-predictor/cache state, fault
-behaviour, and exception type. Segments inline the *same* statement
-order the record handlers and ``TimingModel.issue`` execute; the
+Bit-identity contract: a trampoline run is indistinguishable from a
+recursive reference ``Machine.run``: return value, output, every
+counter (including the exact partial flushes of trap-abandoned
+blocks), cycles, branch-predictor/cache state, fault behaviour, and
+exception type. Segments inline the *same* statement order the
+reference interpreter and ``TimingModel.issue`` execute; the
 differential tests in ``tests/cpu/`` and ``tests/snap/`` pin the
 contract across workloads, fault models and machine configurations.
 
@@ -47,10 +57,14 @@ passed (:func:`covers`).
 from __future__ import annotations
 
 import copy
+import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from struct import Struct as _Struct
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from ..avx import costs as C
+from ..avx import ops as avxops
 from ..ir import types as T
 from ..ir.instructions import (
     AllocaInst,
@@ -64,11 +78,11 @@ from ..ir.instructions import (
     ICmpInst,
     InsertElementInst,
     LoadInst,
-    PhiInst,
     SelectInst,
     ShuffleVectorInst,
     StoreInst,
 )
+from .cache import _LATENCY as _CACHE_LATENCY
 from .engine import (
     _T_BR,
     _T_CONDBR,
@@ -76,35 +90,33 @@ from .engine import (
     _T_RET,
     _T_RET_VOID,
     _T_UNREACHABLE,
-    _MEM_L1,
-    _TERMINATOR_OPCODES,
-    _Undecodable,
-    _float_op,
-    _int_op,
-    _intrinsic_impl,
-    _vec_op,
-    DecodedBlock,
     DecodedFunction,
     decoded_module,
     operand_resolver,
     slot_layout,
 )
-from .cache import _LATENCY as _CACHE_LATENCY
-from .errors import HangError, MemoryFault
+from .errors import AbortError, DetectedError, HangError, MemoryFault, Trap
 from .interpreter import (
-    _FCMP,
-    _ICMP,
+    _HOST_UNARY,
     _MASK64,
     _cast_scalar,
     _compute_static,
     _float_binop,
     _int_binop,
+    _is_checker_site,
+    _key_to_value,
+    _lane_keys,
+    _scalar_key,
     _to_signed,
     RunResult,
 )
 from .memory import HEAP_BASE, STACK_BASE, _FLOAT_FMT
 
-from struct import Struct as _Struct
+_MEM_L1 = float(C.MEM_LATENCY[1])
+
+#: Segment variants, indexed by ``vidx``: fast with and without the
+#: timing model, then stepped with and without it (``vidx + 2``).
+VARIANTS = ("timing", "plain", "timing-stepped", "plain-stepped")
 
 
 class Frame:
@@ -116,25 +128,25 @@ class Frame:
         "times",        # ready-time file
         "mark",         # stack mark at entry (memory.stack_release target)
         "depth",        # call depth (root = 0)
-        "inject",       # frame runs the inject (bookkeeping) path
+        "inject",       # frame does eligible-stream bookkeeping
+        "stepped",      # frame runs stepped segments (inject, or budget near)
         "prev_mem",     # _mem_stream_live to restore on pop
         "prev_branch",  # _branch_stream_live to restore on pop
         "caller_fn",    # _current_fn to restore on pop
         "block",        # current DecodedBlock
-        "prev",         # predecessor block (phi edge), valid if phis_pending
-        "i",            # resume cursor into block.body
-        "phis_pending",  # phi stage of `block` not yet run
+        "i",            # cursor: segment entry, or the suspended call record
         "in_body",      # inside the counted region (exception flush applies)
         "budget_exc",   # the HangError this frame raised for budget, if any
-        "rv",           # return value handed from a compiled ret segment
+        "rv",           # return value: set by a ret segment, read by the
+                        # caller's call-return segment
         "pending_call",  # (dfn, args, arg_times) handed from a call segment
     )
 
 
 def push_frame(M, stack: List[Frame], dfn: DecodedFunction, args: List,
                arg_times: List[float]) -> Frame:
-    """Mirror of ``exec_decoded_function``'s prologue: depth check,
-    register-file setup, stack mark, ``_frames``/``_current_fn``/
+    """Mirror of the reference ``_exec_function`` prologue: depth
+    check, register-file setup, stack mark, ``_frames``/``_current_fn``/
     stream-flag maintenance — as an explicit frame push."""
     depth = M._depth + 1
     if depth > M.config.max_call_depth:
@@ -160,21 +172,32 @@ def push_frame(M, stack: List[Frame], dfn: DecodedFunction, args: List,
     if M._fault_active and M._fault_eligible_fn(dfn.fn):
         M._mem_stream_live = M._mem_stream_needed
         M._branch_stream_live = M._branch_stream_needed
-        f.inject = True
+        f.inject = f.stepped = True
     else:
         M._mem_stream_live = False
         M._branch_stream_live = False
-        f.inject = False
+        f.inject = f.stepped = False
     f.block = dfn.entry
-    f.prev = None
     f.i = 0
-    f.phis_pending = False
     f.in_body = False
     f.budget_exc = None
     f.rv = None
     f.pending_call = None
     stack.append(f)
     return f
+
+
+def _segment(f: Frame, vidx: int, key: int):
+    """The segment of variant ``vidx`` at ``key`` in the frame's current
+    block: an entry (0, or ``k + 1`` after the defined call at record
+    ``k``) or ``-1 - k``, the return segment of that call. Compiles the
+    variant on first use."""
+    maps = f.block.compiled
+    segmap = maps[vidx]
+    if segmap is None:
+        ensure_compiled(f.dfn.dmod, vidx)
+        segmap = maps[vidx]
+    return segmap[key]
 
 
 def run_stack(M, stack: List[Frame], executed: int, capture=None):
@@ -184,371 +207,39 @@ def run_stack(M, stack: List[Frame], executed: int, capture=None):
 
     ``capture``, when given, is a placement policy with an integer
     ``next_index`` attribute and a ``take(M, stack, executed)`` method;
-    the loop invokes ``take`` at the first body-record boundary at or
-    after each threshold. ``take`` must only *copy* state (see
-    :func:`capture_state`) and advance ``next_index``.
+    every frame then runs stepped, and the trampoline invokes ``take``
+    at the first block or post-call entry at or after each threshold.
+    ``take`` must only *copy* state (see :func:`capture_state`) and
+    advance ``next_index``.
     """
     counters = M.counters
     cd = counters.__dict__
     byop = counters.collect_by_opcode
     timing = M.timing
     maxi = M.config.max_instructions
-    # Compiled segments are only sound for frames with no per-record
-    # bookkeeping: capture placement polls every record, and inject
-    # frames interleave fault/trace/checker steps — both keep the
-    # record path (bit-identical either way; segments are pure speed).
-    segments_on = capture is None
-    vidx = 0 if timing is not None else 1
-    value = None
-    returning = False
+    fast = 0 if timing is not None else 1
+    stepped = fast + 2
+    capturing = capture is not None
+    # Segment protocol: seg(M, f, regs, times, executed, timing, maxi,
+    # cd, byop) -> (executed, ctrl). ctrl is the next segment of this
+    # frame (threaded dispatch), None for a frame return (value in
+    # f.rv), 1 for a defined-call push (payload in f.pending_call), or 2
+    # to re-dispatch at f's cursor (a fast frame within one block of the
+    # budget switched itself to stepped).
     try:
-        while stack:
-            f = stack[-1]
-            regs = f.regs
-            times = f.times
-
-            if returning:
-                # Complete the suspended defined call at f.i: the
-                # epilogue of _make_call_defined's handler, followed by
-                # the caller loop's inject bookkeeping on the result.
-                returning = False
-                block = f.block
-                (arg_rs, dst, _cdfn, lat, uops, isv, port,
-                 _site) = block.call_meta[f.i]
-                M._call_sites.pop()
-                if dst >= 0:
-                    regs[dst] = value
-                if timing is not None:
-                    ats = [times[s] if s >= 0 else 0.0 for s, c in arg_rs]
-                    done = timing.issue("call", lat, ats, 0.0, uops, isv,
-                                        port)
-                    if dst >= 0:
-                        times[dst] = done
-                executed = M._executed
-                if f.inject:
-                    meta = block.inject[f.i]
-                    if meta is not None:
-                        rdst, _ty, inst = meta
-                        index = M.eligible_executed
-                        M.eligible_executed = index + 1
-                        if (M._trace_eligible is not None
-                                and index >= M._trace_skip_until):
-                            M._executed = executed
-                            M._trace_eligible(inst, M._current_fn)
-                        if M._checker_needed:
-                            regs[rdst] = M._checker_step(regs[rdst], inst)
-                        plans = M.fault_plans
-                        cursor = M._next_plan
-                        if (cursor < len(plans)
-                                and index == plans[cursor].target_index):
-                            regs[rdst] = M._apply_reg_plans(
-                                regs[rdst], inst, index
-                            )
-                f.i += 1
-
-            inject = f.inject
-            fast = segments_on and not inject
-            pushed = False
-            while True:  # block chain within this frame
-                block = f.block
-                if f.phis_pending:
-                    # Phis: parallel moves against the incoming edge.
-                    # Nothing is counted yet (in_body is False), so
-                    # exceptions here escape without any flush — exactly
-                    # like the recursive engine.
-                    f.phis_pending = False
-                    pm = block.phi_moves
-                    if pm is not None:
-                        moves = pm.get(f.prev)
-                        if moves is None:
-                            raise KeyError(
-                                f"phi in %{block.name} has no incoming "
-                                f"from %{f.prev.name}"
-                            )
-                        staged = [
-                            (dst,
-                             regs[s] if s >= 0 else c,
-                             times[s] if s >= 0 else 0.0)
-                            for dst, s, c in moves
-                        ]
-                        if inject:
-                            for (dst, v, t), (ty, phi) in zip(
-                                    staged, block.phi_meta):
-                                index = M.eligible_executed
-                                M.eligible_executed = index + 1
-                                if (M._trace_eligible is not None
-                                        and index >= M._trace_skip_until):
-                                    M._executed = executed
-                                    M._trace_eligible(phi, M._current_fn)
-                                if M._checker_needed:
-                                    v = M._checker_step(v, phi)
-                                plans = M.fault_plans
-                                cursor = M._next_plan
-                                if (cursor < len(plans)
-                                        and index ==
-                                        plans[cursor].target_index):
-                                    v = M._apply_reg_plans(v, phi, index)
-                                regs[dst] = v
-                                times[dst] = t
-                        else:
-                            for dst, v, t in staged:
-                                regs[dst] = v
-                                times[dst] = t
-
-                if fast:
-                    maps = block.compiled
-                    if maps is not None:
-                        segmap = maps[vidx]
-                        seg = (segmap.get(f.i)
-                               if segmap is not None else None)
-                        if seg is not None:
-                            # Threaded dispatch: each segment returns
-                            # the next segment (callable), None for a
-                            # frame return, 1 for a defined-call push,
-                            # 2 to re-enter this loop on a new block,
-                            # or 3 to run the current block's records
-                            # generically (budget within one block of
-                            # exhaustion — the record path raises the
-                            # HangError at the exact instruction).
-                            # Defined-call pushes and frame returns
-                            # between fast frames are handled without
-                            # leaving this loop: the pop/epilogue below
-                            # is the same code the outer loop runs, it
-                            # just skips the frame re-derivation hop.
-                            while True:
-                                executed, ctrl = seg(
-                                    M, f, regs, times, executed,
-                                    timing, maxi, cd, byop)
-                                if ctrl.__class__ is int:
-                                    if ctrl == 1:
-                                        cdfn, cargs, cats = f.pending_call
-                                        f.pending_call = None
-                                        f2 = push_frame(M, stack, cdfn,
-                                                        cargs, cats)
-                                        if f2.inject:
-                                            pushed = True
-                                            break
-                                        f = f2
-                                        regs = f.regs
-                                        times = f.times
-                                        maps = f.block.compiled
-                                        if maps is not None:
-                                            segmap = maps[vidx]
-                                            if segmap is not None:
-                                                seg = segmap.get(0)
-                                                if seg is not None:
-                                                    continue
-                                        ctrl = 2
-                                    break
-                                if ctrl is not None:
-                                    seg = ctrl
-                                    continue
-                                # Frame return: pop this frame, then —
-                                # when the caller is a fast frame too —
-                                # run the returning epilogue inline and
-                                # resume its compiled suspension point.
-                                value = f.rv
-                                f.rv = None
-                                if executed > M._executed:
-                                    M._executed = executed
-                                stack.pop()
-                                M._frames.pop()
-                                M._current_fn = f.caller_fn
-                                M._mem_stream_live = f.prev_mem
-                                M._branch_stream_live = f.prev_branch
-                                M.memory.stack_release(f.mark)
-                                M._depth = f.depth - 1
-                                if not stack or stack[-1].inject:
-                                    returning = True
-                                    break
-                                f = stack[-1]
-                                regs = f.regs
-                                times = f.times
-                                block = f.block
-                                (arg_rs, dst, _cdfn, lat, uops, isv,
-                                 port, _site) = block.call_meta[f.i]
-                                M._call_sites.pop()
-                                if dst >= 0:
-                                    regs[dst] = value
-                                if timing is not None:
-                                    ats = [times[s] if s >= 0 else 0.0
-                                           for s, c in arg_rs]
-                                    done = timing.issue(
-                                        "call", lat, ats, 0.0, uops,
-                                        isv, port)
-                                    if dst >= 0:
-                                        times[dst] = done
-                                executed = M._executed
-                                f.i += 1
-                                maps = block.compiled
-                                seg = None
-                                if maps is not None:
-                                    segmap = maps[vidx]
-                                    if segmap is not None:
-                                        seg = segmap.get(f.i)
-                                if seg is None:
-                                    ctrl = 2
-                                    break
-                            if ctrl is None or pushed:
-                                break
-                            if ctrl == 2:
-                                continue
-                            # ctrl == 3: fall through to the record path.
-                            # The segment chain may have advanced through
-                            # several blocks (and across a call push)
-                            # before bailing, so the suspension point in
-                            # f.block can differ from the block this
-                            # dispatch entered — re-derive the local.
-                            block = f.block
-
-                f.in_body = True
-                body = block.body
-                inj = block.inject
-                call_meta = block.call_meta
-                n = block.n
-                i = f.i
-                try:
-                    while i < n:
-                        if (capture is not None
-                                and M.eligible_executed >=
-                                capture.next_index):
-                            f.i = i
-                            capture.take(M, stack, executed)
-                        executed += 1
-                        if executed > maxi:
-                            f.budget_exc = HangError(
-                                f"instruction budget exceeded ({maxi})"
-                            )
-                            raise f.budget_exc
-                        cm = call_meta[i]
-                        if cm is not None:
-                            # Defined call: the handler's prologue, then
-                            # a frame push where it would recurse.
-                            arg_rs, dst, cdfn, lat, uops, isv, port, \
-                                site = cm
-                            cargs = [regs[s] if s >= 0 else c
-                                     for s, c in arg_rs]
-                            cats = [times[s] if s >= 0 else 0.0
-                                    for s, c in arg_rs]
-                            M._executed = executed
-                            M._call_sites.append(site)
-                            f.i = i
-                            push_frame(M, stack, cdfn, cargs, cats)
-                            pushed = True
-                            break
-                        executed = body[i](M, regs, times, executed, timing)
-                        if inject:
-                            meta = inj[i]
-                            if meta is not None:
-                                rdst, _ty, inst = meta
-                                index = M.eligible_executed
-                                M.eligible_executed = index + 1
-                                if (M._trace_eligible is not None
-                                        and index >= M._trace_skip_until):
-                                    M._executed = executed
-                                    M._trace_eligible(inst, M._current_fn)
-                                if M._checker_needed:
-                                    regs[rdst] = M._checker_step(
-                                        regs[rdst], inst
-                                    )
-                                plans = M.fault_plans
-                                cursor = M._next_plan
-                                if (cursor < len(plans)
-                                        and index ==
-                                        plans[cursor].target_index):
-                                    regs[rdst] = M._apply_reg_plans(
-                                        regs[rdst], inst, index
-                                    )
-                        i += 1
-                    if pushed:
-                        break
-                    f.i = i
-
-                    # Terminator --------------------------------------
-                    kind = block.term_kind
-                    if kind == _T_FALLOFF:
-                        raise MemoryFault(0, 0)
-                    executed += 1
-                    if executed > maxi:
-                        f.budget_exc = HangError(
-                            f"instruction budget exceeded ({maxi})"
-                        )
-                        raise f.budget_exc
-                    if kind == _T_UNREACHABLE:
-                        raise MemoryFault(0, 0)
-
-                    for k, v in block.full_pairs:
-                        cd[k] += v
-                    if byop:
-                        bo = counters.by_opcode
-                        for op, cnt in block.opcode_items:
-                            bo[op] = bo.get(op, 0) + cnt
-
-                    term = block.term
-                    if kind == _T_BR:
-                        if timing is not None:
-                            timing.issue("br", term[1], (), 0.0, 1,
-                                         False, None)
-                        f.prev = block
-                        f.block = term[0]
-                        f.phis_pending = True
-                        f.in_body = False
-                        f.i = 0
-                        continue
-                    if kind == _T_CONDBR:
-                        s, c, tb, eb, inst, lat = term
-                        taken = bool(regs[s] if s >= 0 else c)
-                        if M._branch_stream_live:
-                            taken = M._branch_step(taken, inst)
-                        pcs = M._branch_pcs
-                        key = id(inst)
-                        pc = pcs.get(key)
-                        if pc is None:
-                            pc = M._next_pc
-                            M._next_pc = pc + 1
-                            pcs[key] = pc
-                        correct = M.predictor.predict_and_update(pc, taken)
-                        if timing is not None:
-                            resolve = timing.issue(
-                                "br", lat,
-                                (times[s] if s >= 0 else 0.0,),
-                                0.0, 1, False, None,
-                            )
-                            if not correct:
-                                cd["branch_misses"] += 1
-                                timing.branch_mispredict(resolve)
-                        elif not correct:
-                            cd["branch_misses"] += 1
-                        f.prev = block
-                        f.block = tb if taken else eb
-                        f.phis_pending = True
-                        f.in_body = False
-                        f.i = 0
-                        continue
-                    if kind == _T_RET:
-                        s, c, lat, uops = term
-                        if timing is not None:
-                            timing.issue(
-                                "ret", lat,
-                                (times[s] if s >= 0 else 0.0,),
-                                0.0, uops, False, None,
-                            )
-                        value = regs[s] if s >= 0 else c
-                    else:  # _T_RET_VOID
-                        lat, uops = block.term
-                        if timing is not None:
-                            timing.issue("ret", lat, (), 0.0, uops,
-                                         False, None)
-                        value = None
-                except BaseException:
-                    f.i = i
-                    raise
-
-                # Frame return: the epilogues of _run_* (publish the
-                # instruction count) and exec_decoded_function (pop,
-                # restore caller context, release stack).
-                if executed > M._executed:
-                    M._executed = executed
+        f = stack[-1]
+        seg = _segment(f, stepped if capturing or f.stepped else fast, f.i)
+        while True:
+            if capturing and M.eligible_executed >= capture.next_index:
+                capture.take(M, stack, executed)
+            executed, ctrl = seg(M, f, f.regs, f.times, executed, timing,
+                                 maxi, cd, byop)
+            while ctrl is None:
+                # Frame return: the reference _exec_function epilogue
+                # (pop, restore caller context, release stack), then the
+                # caller's call-return segment.
+                value = f.rv
+                f.rv = None
                 stack.pop()
                 M._frames.pop()
                 M._current_fn = f.caller_fn
@@ -556,15 +247,29 @@ def run_stack(M, stack: List[Frame], executed: int, capture=None):
                 M._branch_stream_live = f.prev_branch
                 M.memory.stack_release(f.mark)
                 M._depth = f.depth - 1
-                returning = True
-                break
-        return value
+                if not stack:
+                    return value
+                f = stack[-1]
+                f.rv = value
+                seg = _segment(f, stepped if capturing or f.stepped
+                               else fast, -1 - f.i)
+                executed, ctrl = seg(M, f, f.regs, f.times, executed,
+                                     timing, maxi, cd, byop)
+            if ctrl.__class__ is int:
+                if ctrl == 1:
+                    cdfn, cargs, cats = f.pending_call
+                    f.pending_call = None
+                    f = push_frame(M, stack, cdfn, cargs, cats)
+                seg = _segment(f, stepped if capturing or f.stepped
+                               else fast, f.i)
+            else:
+                seg = ctrl
     except BaseException as exc:
         # Unwind: per-frame exact partial counter flush (the recursive
         # engine's `except` clause) plus the frame epilogue, innermost
         # first. A frame suspended at a defined call flushes its call
         # record partially — exactly what its recursive `except` would
-        # do when the callee's exception propagated through the handler.
+        # do when the callee's exception propagated through the call.
         while stack:
             f = stack.pop()
             M._frames.pop()
@@ -596,9 +301,7 @@ def run_resumable(M, fn_name: str, args: Sequence = (),
                   capture=None) -> RunResult:
     """``Machine.run`` on the trampoline — bit-identical results, no
     recursion-limit dance, and optional mid-run capture via
-    ``capture``. Runs compiled segments when the machine's engine is
-    ``"compiled"`` (and no capture policy is polling); the record path
-    otherwise."""
+    ``capture``."""
     fn = M.module.get_function(fn_name)
     if fn.is_declaration:
         raise ValueError(f"cannot run declaration @{fn_name}")
@@ -611,21 +314,17 @@ def run_resumable(M, fn_name: str, args: Sequence = (),
         M._frames.clear()
     if M._call_sites:
         M._call_sites.clear()
-    dmod = decoded_module(M.module, M.config.cost_model, M.globals_addr)
-    dfn = dmod.function(fn)
-    if M.config.engine == "compiled" and capture is None:
-        ensure_compiled(dmod, 0 if M.timing is not None else 1)
-    stack: List[Frame] = []
-    push_frame(M, stack, dfn, arg_values, [0.0] * len(arg_values))
-    value = run_stack(M, stack, M._executed, capture)
-    cycles = M.timing.cycles if M.timing is not None else 0.0
-    ilp = M.timing.ilp if M.timing is not None else 0.0
+    value = run_compiled(M, fn, arg_values, capture)
+    return _result(M, value)
+
+
+def _result(M, value) -> RunResult:
     return RunResult(
         value=value,
         output=M.output,
         counters=M.counters,
-        cycles=cycles,
-        ilp=ilp,
+        cycles=M.timing.cycles if M.timing is not None else 0.0,
+        ilp=M.timing.ilp if M.timing is not None else 0.0,
         fault_injected=M.fault_injected,
     )
 
@@ -640,7 +339,7 @@ class FrameState:
 
     fn: str
     block: int    # index into dfn.blocks
-    i: int        # resume cursor into block.body
+    i: int        # segment entry (top frame) or suspended call record
     regs: tuple
     times: tuple
     mark: int     # memory stack mark at frame entry
@@ -648,7 +347,7 @@ class FrameState:
 
 @dataclass
 class ResumeState:
-    """Complete mid-run machine state at a body-record boundary.
+    """Complete mid-run machine state at a block or post-call entry.
 
     Everything :class:`MachineSnapshot` captures between runs, plus the
     frame stack, the live dynamic-instruction count, and the four
@@ -802,7 +501,6 @@ def rebuild_frames(M, state: ResumeState) -> List[Frame]:
     would have at each frame's push in a from-scratch run."""
     dmod = decoded_module(M.module, M.config.cost_model, M.globals_addr)
     stack: List[Frame] = []
-    needs_segments = M.config.engine == "compiled"
     caller_fn = None
     prev_mem = False
     prev_branch = False
@@ -818,10 +516,9 @@ def rebuild_frames(M, state: ResumeState) -> List[Frame]:
         f.prev_mem = prev_mem
         f.prev_branch = prev_branch
         f.depth = depth
-        f.inject = bool(M._fault_active and M._fault_eligible_fn(fn))
+        f.inject = f.stepped = bool(M._fault_active
+                                    and M._fault_eligible_fn(fn))
         f.block = dfn.blocks[fs.block]
-        f.prev = None
-        f.phis_pending = False
         f.in_body = True
         f.i = fs.i
         f.budget_exc = None
@@ -844,8 +541,6 @@ def rebuild_frames(M, state: ResumeState) -> List[Frame]:
     # ids rebuild the call-site chain the batch digests compare.
     for f in stack[:-1]:
         M._call_sites.append(f.block.call_meta[f.i][7])
-    if needs_segments:
-        ensure_compiled(dmod, 0 if M.timing is not None else 1)
     return stack
 
 
@@ -856,17 +551,7 @@ def resume_run(M, state: ResumeState, plans: Sequence) -> RunResult:
     restore_payload(M, state)
     arm_resume(M, plans)
     stack = rebuild_frames(M, state)
-    value = run_stack(M, stack, state.executed)
-    cycles = M.timing.cycles if M.timing is not None else 0.0
-    ilp = M.timing.ilp if M.timing is not None else 0.0
-    return RunResult(
-        value=value,
-        output=M.output,
-        counters=M.counters,
-        cycles=cycles,
-        ilp=ilp,
-        fault_injected=M.fault_injected,
-    )
+    return _result(M, run_stack(M, stack, state.executed))
 
 
 # --- Checkpoint validity -----------------------------------------------------
@@ -894,23 +579,14 @@ def covers(state: ResumeState, plan) -> bool:
 # A *segment* is one compiled closure covering the records of a basic
 # block between defined-call boundaries (a call suspends the frame, so
 # it always ends a segment), plus the block terminator for the last
-# segment. Segment protocol:
-#
-#   seg(M, f, regs, times, executed, timing, maxi, cd, byop)
-#       -> (executed, ctrl)
-#
-# ``ctrl`` is the next segment (threaded dispatch), ``None`` for a
-# frame return (value in ``f.rv``), ``1`` for a defined-call push
-# (payload in ``f.pending_call``), ``2`` to re-enter the trampoline's
-# block loop (successor without a segment, or a phi edge the decoder
-# could not pre-resolve — the generic stage reproduces the reference
-# KeyError), or ``3`` to run the current block's records generically
-# (the instruction budget would be exhausted inside this segment; the
-# record path raises the HangError at the exact instruction).
+# segment; each defined call also gets a *call-return* segment that
+# completes the call record once the callee returned (keyed ``-1 - k``
+# for the call at record ``k``). The protocol is documented in
+# :func:`run_stack`.
 #
 # Bit-identity rules baked into the generated code:
 #
-# - Value semantics mirror the decoded handlers statement for
+# - Value semantics mirror the reference interpreter statement for
 #   statement (same bounds checks, same masking, same helper calls for
 #   div/rem, f32 and cast paths).
 # - ``TimingModel.issue`` is inlined with its scalar state (issue
@@ -920,16 +596,13 @@ def covers(state: ResumeState, plan) -> bool:
 #   restoration when an exception escapes mid-segment.
 # - Static counter deltas flush once per block from literal
 #   increments; an escaping exception leaves the flush to the
-#   trampoline's unwind handler via ``f.i``, exactly like the record
-#   path.
-# - Segments are only entered for frames with no per-record
-#   bookkeeping (no fault injection, tracing, checker stepping or
-#   capture polling), so the eligible-stream counters and stream-live
-#   checks are statically absent, not skipped.
-
-import math  # noqa: E402
-
-_SUPPORTED_TERMS = (_T_BR, _T_CONDBR, _T_RET, _T_RET_VOID)
+#   trampoline's unwind handler via ``f.i``.
+# - Fast segments carry no per-record bookkeeping: the trampoline runs
+#   them only for frames with no eligible-stream work and no capture
+#   policy, so the stream counters and hooks are statically absent,
+#   and their budget precheck switches the frame to stepped within one
+#   span of exhaustion. Stepped segments count every record against
+#   the budget, so the HangError lands on the exact instruction.
 
 _ICMP_UNSIGNED = {"eq": "==", "ne": "!=", "ult": "<", "ule": "<=",
                   "ugt": ">", "uge": ">="}
@@ -942,9 +615,24 @@ _FCMP_ORDERED = {"oeq": "==", "olt": "<", "ole": "<=", "ogt": ">",
 _FROM_BYTES = int.from_bytes
 
 
-class _Unsupported(Exception):
-    """Record/block outside the compilable subset (it stays on the
-    record path — bit-identical, just not accelerated)."""
+class CompileError(RuntimeError):
+    """The segment emitter failed on a function. There is no slower
+    path to fall back to, so the run stops here; ``function`` and
+    ``variant`` name what was being compiled and ``__cause__`` holds
+    the emitter's exception."""
+
+    def __init__(self, function: str, variant: str, cause: BaseException):
+        self.function = function
+        self.variant = variant
+        super().__init__(
+            f"cannot compile @{function} ({variant}): {cause!r}")
+
+
+def _hang(f, maxi):
+    """The budget HangError, remembered on the frame so the unwinder
+    leaves the never-executed record out of the partial flush."""
+    exc = f.budget_exc = HangError(f"instruction budget exceeded ({maxi})")
+    return exc
 
 
 @dataclass
@@ -957,10 +645,6 @@ class CompileStats:
     compile_ms: float = 0.0
     code_hits: int = 0
     code_misses: int = 0
-    #: Functions whose emitter raised and that stay on the record path
-    #: (bit-identical, so a compiler bug shows only here and as a
-    #: missing speedup).
-    fallbacks: int = 0
 
     def as_dict(self) -> Dict[str, object]:
         return {
@@ -970,24 +654,23 @@ class CompileStats:
             "compile_ms": self.compile_ms,
             "code_hits": self.code_hits,
             "code_misses": self.code_misses,
-            "fallbacks": self.fallbacks,
         }
 
 
 COMPILE_STATS = CompileStats()
 
 #: Subscribers called with one payload dict per :func:`ensure_compiled`
-#: invocation that did work: module digest, function/block/segment
-#: counts, compile wall time, code-cache hit/miss split, and record-path
-#: fallbacks (``fallbacks`` plus one ``"@fn: repr"`` string per
-#: emitter exception in ``fallback_errors``). The lab
-#: bridges these onto its EventBus as ``engine-compile`` events.
+#: invocation that did work: module digest, variant (one of
+#: :data:`VARIANTS`), function/block/segment counts, compile wall time
+#: and the code-cache hit/miss split. The lab bridges these onto its
+#: EventBus as ``engine-compile`` events.
 _COMPILE_HOOKS: List[Callable[[Dict[str, object]], None]] = []
 
 #: Cross-instance code-object cache: (module digest, cost-model id,
-#: variant, function name) -> (costs ref, source, code). Two machines
-#: running the same IR under the same cost model re-exec the cached
-#: code object with fresh instance constants instead of re-compiling.
+#: variant, function name) -> (costs ref, source, code objects). Two
+#: machines running the same IR under the same cost model re-exec the
+#: cached code objects with fresh instance constants instead of
+#: re-compiling.
 _CODE_CACHE: Dict[tuple, tuple] = {}
 
 
@@ -1006,6 +689,163 @@ def code_cache_clear() -> None:
     _CODE_CACHE.clear()
 
 
+# --- Intrinsic call implementations -------------------------------------------
+#
+# Pre-dispatched versions of ``Machine._call_intrinsic`` — the name
+# prefix chain runs once at compile time; each impl receives the
+# evaluated argument list and the machine (for counters / memory /
+# output). Segments bind them as constants.
+
+
+def _intrinsic_impl(name, inst):
+    if name.startswith("elzar.check_dmr."):
+        elem = inst.type.elem
+
+        def impl(M, args, elem=elem):
+            lanes = args[0]
+            keyed = _lane_keys(lanes, elem)
+            if avxops.lanes_all_equal(keyed):
+                return lanes
+            M.counters.detections += 1
+            raise DetectedError("ELZAR-DMR check: lanes diverged")
+
+        return impl
+    if name.startswith("elzar.branch_cond_dmr."):
+
+        def impl(M, args):
+            kind = avxops.ptest_classify(args[0])
+            if kind == 2:
+                M.counters.detections += 1
+                raise DetectedError("ELZAR-DMR branch: true/false mix")
+            return kind
+
+        return impl
+    if name.startswith("elzar.check."):
+        elem = inst.type.elem
+
+        def impl(M, args, elem=elem):
+            lanes = args[0]
+            keyed = _lane_keys(lanes, elem)
+            if avxops.lanes_all_equal(keyed):
+                return lanes
+            counters = M.counters
+            counters.corrections += 1
+            try:
+                majority = avxops.majority_value(keyed)
+            except avxops.NoMajorityError as exc:
+                counters.recoveries_failed += 1
+                raise DetectedError(str(exc)) from exc
+            value = _key_to_value(majority, elem)
+            return (value,) * len(lanes)
+
+        return impl
+    if name.startswith("elzar.branch_cond_nocheck."):
+
+        def impl(M, args):
+            return 1 if all(args[0]) else 0
+
+        return impl
+    if name.startswith("elzar.branch_cond."):
+
+        def impl(M, args):
+            lanes = args[0]
+            kind = avxops.ptest_classify(lanes)
+            if kind == 2:
+                counters = M.counters
+                counters.corrections += 1
+                try:
+                    majority = avxops.majority_value(tuple(lanes))
+                except avxops.NoMajorityError as exc:
+                    counters.recoveries_failed += 1
+                    raise DetectedError(str(exc)) from exc
+                return 1 if majority else 0
+            return kind
+
+        return impl
+    if name.startswith("tmr.vote."):
+        ty = inst.type
+
+        def impl(M, args, ty=ty):
+            a, b, c = args
+            ka, kb, kc = (_scalar_key(v, ty) for v in (a, b, c))
+            if ka == kb and kb == kc:
+                return a
+            counters = M.counters
+            counters.corrections += 1
+            if ka == kb or ka == kc:
+                return a
+            if kb == kc:
+                return b
+            counters.recoveries_failed += 1
+            raise DetectedError("TMR vote: all three copies differ")
+
+        return impl
+    if name.startswith("swift.check."):
+        ty = inst.type
+
+        def impl(M, args, ty=ty):
+            a, b = args
+            if _scalar_key(a, ty) != _scalar_key(b, ty):
+                M.counters.detections += 1
+                raise DetectedError("DMR check: copies diverged")
+            return a
+
+        return impl
+    if name == "rt.alloc":
+        return lambda M, args: M.memory.alloc(args[0])
+    if name == "rt.print_i64":
+
+        def impl(M, args):
+            M.output.append(_to_signed(args[0], 64))
+            return None
+
+        return impl
+    if name == "rt.print_f64":
+
+        def impl(M, args):
+            M.output.append(float(args[0]))
+            return None
+
+        return impl
+    if name == "rt.abort":
+
+        def impl(M, args):
+            raise AbortError("rt.abort called")
+
+        return impl
+    if name.startswith("host."):
+        op = name[5:]
+        if op == "pow":
+
+            def impl(M, args):
+                try:
+                    return float(args[0] ** args[1])
+                except (OverflowError, ZeroDivisionError, ValueError):
+                    return math.nan
+
+            return impl
+        fun = _HOST_UNARY.get(op)
+        if fun is None:
+
+            def impl(M, args, name=name):
+                raise Trap(f"unknown host intrinsic {name}")
+
+            return impl
+
+        def impl(M, args, fun=fun):
+            try:
+                return float(fun(args[0]))
+            except (OverflowError, ValueError):
+                return math.nan
+
+        return impl
+
+    def impl(M, args, name=name):
+        raise Trap(f"unknown intrinsic {name}")
+
+    return impl
+
+
 def _module_digest(dmod) -> str:
     """Content digest of the module (the toolchain's artifact key), or
     "" when the digest pipeline is unavailable."""
@@ -1016,34 +856,17 @@ def _module_digest(dmod) -> str:
         return ""
 
 
-def _block_records(bb):
-    """(records, terminator) exactly as ``_fill_block`` partitions the
-    block: leading phis skipped, records up to the first terminator
-    opcode."""
-    insts = bb.instructions
-    start = 0
-    while start < len(insts) and isinstance(insts[start], PhiInst):
-        start += 1
-    records = []
-    terminator = None
-    for inst in insts[start:]:
-        if inst.opcode in _TERMINATOR_OPCODES:
-            terminator = inst
-            break
-        records.append(inst)
-    return records, terminator
-
-
 class _Emitter:
     """Source accumulator for one segment: indented lines, constants
     bound as keyword-parameter defaults, and the deferred-timing
     bookkeeping the exits and the exception path must restore."""
 
-    def __init__(self, consts, seen, with_timing):
+    def __init__(self, consts, seen, with_timing, stepped=False):
         self.lines: List[str] = []
         self.consts = consts          # function-level: name -> value
         self.seen = seen              # function-level: id(value) -> name
         self.with_timing = with_timing
+        self.stepped = stepped        # stepped variant (see VARIANTS)
         self.used: List[str] = []     # const names this segment binds
         self.uops_used = set()
         self.pend_issued = 0
@@ -1058,6 +881,7 @@ class _Emitter:
         self.exec_base = 0            # first record not yet in `executed`
         self.inlined = False          # any leaf call inlined so far
         self.need_mem = False
+        self.need_msl = False         # stepped memory records: stream hook
         self.need_cache = False
         self.uses_sg = False
         self.uses_bmp = False
@@ -1256,7 +1080,7 @@ def _icmp_scalar_expr(E, pred, a, b, width):
         return f"(1 if {a} {op} {b} else 0)"
     op = _ICMP_SIGNED.get(pred)
     if op is None:
-        raise _Unsupported(f"icmp pred {pred}")
+        raise ValueError(f"icmp pred {pred}")
     # Signed compare via the sign-bit flip: x -> x ^ sb maps the signed
     # order onto the unsigned order for width-masked values, so no
     # _to_signed conversion (and no helper call) is needed.
@@ -1276,7 +1100,7 @@ def _fcmp_scalar_expr(E, pred, a, b):
         return f"(1 if not ({isnan}({a}) or {isnan}({b})) else 0)"
     if pred == "uno":
         return f"(1 if ({isnan}({a}) or {isnan}({b})) else 0)"
-    raise _Unsupported(f"fcmp pred {pred}")
+    raise ValueError(f"fcmp pred {pred}")
 
 
 def _emit_miss_ladder(E, d):
@@ -1291,8 +1115,8 @@ def _emit_miss_ladder(E, d):
 
 def _emit_cache_probe(E, d, size, for_store):
     """Cache access + hierarchical miss accounting, mirroring the
-    load/store handlers (loads also consume the extra latency ``_x``;
-    stores drop it like the reference does).
+    reference's ``_mem_access`` (loads also consume the extra latency
+    ``_x``; stores drop it like the reference does).
 
     The non-straddling case inlines :meth:`CacheHierarchy.access`
     statement for statement (L1 probe, straddle-free, prefetcher
@@ -1379,10 +1203,9 @@ def _emit_cache_probe(E, d, size, for_store):
 
 
 def _emit_record(E, d, inst, dst, rv, costs, rtp):
-    """Emit one body record, mirroring the decoded handler for the
-    instruction class statement for statement. Raises
-    :class:`_Unsupported` for anything outside the compiled subset
-    (raiser records, declaration calls, unknown classes)."""
+    """Emit one body record, mirroring the reference interpreter for
+    the instruction class statement for statement. Defined calls and
+    raisers are emitted by the callers (:func:`_emit_span`)."""
     w = E.w
     t = E.with_timing
     opcode = inst.opcode
@@ -1512,6 +1335,7 @@ def _emit_record(E, d, inst, dst, rv, costs, rtp):
         E.need_mem = True
         mf = E.KI(MemoryFault)
         w(d, f"_a = {E.oexpr(pp)}")
+        _emit_mem_step(E, d, inst)
         if ty.is_vector:
             w(d, f"regs[{dst}] = _mem.load_value({E.KI(ty)}, _a)")
         elif ty.is_float:
@@ -1568,6 +1392,7 @@ def _emit_record(E, d, inst, dst, rv, costs, rtp):
         E.need_mem = True
         mf = E.KI(MemoryFault)
         w(d, f"_a = {E.oexpr(pp)}")
+        _emit_mem_step(E, d, inst)
         w(d, f"_v = {E.oexpr(pv)}")
         if vty.is_vector:
             w(d, f"_mem.store_value({E.KI(vty)}, _a, _v)")
@@ -1723,9 +1548,7 @@ def _emit_record(E, d, inst, dst, rv, costs, rtp):
     if isinstance(inst, CallInst):
         callee = inst.callee
         if not callee.is_intrinsic:
-            # Defined calls end segments (handled by the caller);
-            # declaration calls are raiser records.
-            raise _Unsupported(f"call to @{callee.name}")
+            raise ValueError(f"call to @{callee.name} is not a record")
         arg_ps = [rv(a) for a in inst.args]
         impl = E.K(_intrinsic_impl(callee.name, inst))
         lat = costs.intrinsic_latency(callee.name)
@@ -1744,17 +1567,74 @@ def _emit_record(E, d, inst, dst, rv, costs, rtp):
                 w(d, f"times[{dst}] = _d")
         return
 
-    raise _Unsupported(f"record class {type(inst).__name__}")
+    raise ValueError(f"record class {type(inst).__name__}")
+
+
+def _emit_mem_step(E, d, inst):
+    """Stepped variant: the memory-stream hook on the effective address
+    ``_a``, after address computation and before the access (the
+    reference's order). ``_msl`` is the frame's stream-live flag, which
+    only a frame push or pop changes."""
+    if E.stepped:
+        E.need_msl = True
+        E.w(d, "if _msl:")
+        E.w(d + 1, f"_a = M._mem_step(_a, {E.KI(inst)})")
+
+
+def _emit_budget(E, d):
+    """Stepped variant: count one instruction against the budget, the
+    reference's check before every instruction."""
+    E.w(d, "executed += 1")
+    E.w(d, "if executed > maxi:")
+    E.w(d + 1, f"raise {E.KI(_hang)}(f, maxi)")
+
+
+def _emit_eligible(E, d, inst, target):
+    """Stepped variant: the eligible-stream bookkeeping on the value in
+    ``target`` (``regs[k]`` or a staged phi value), in the reference
+    ``_maybe_inject`` order — counter, trace hook, checker step, plan
+    cursor. Every read of machine state follows the hook calls that may
+    change it (a batch lane arms its plan inside a hook)."""
+    w = E.w
+    ki = E.KI(inst)
+    w(d, "if _inj:")
+    d += 1
+    w(d, "_ix = M.eligible_executed")
+    w(d, "M.eligible_executed = _ix + 1")
+    w(d, "if M._trace_eligible is not None and _ix >= M._trace_skip_until:")
+    w(d + 1, "M._executed = executed")
+    w(d + 1, f"M._trace_eligible({ki}, M._current_fn)")
+    if _is_checker_site(inst):
+        w(d, "if M._checker_needed:")
+        w(d + 1, f"{target} = M._checker_step({target}, {ki})")
+    w(d, "_pl = M.fault_plans")
+    w(d, "if _pl and M._next_plan < len(_pl) and "
+         "_pl[M._next_plan].target_index == _ix:")
+    w(d + 1, f"{target} = M._apply_reg_plans({target}, {ki}, _ix)")
+
+
+def _emit_raise_at(E, d, db, i, in_body, exc):
+    """Raise ``exc`` (an expression) with the frame cursor set
+    explicitly, for raises outside any record: a terminator that never
+    issues, or a phi edge the decoder could not resolve. Writes the
+    hoisted state back first; ``_i = -1`` makes the segment's
+    ``except`` clause publish the count and re-raise untouched."""
+    E.w(d, f"f.block = {E.KI(db)}")
+    E.w(d, f"f.in_body = {in_body}")
+    E.w(d, f"f.i = {i}")
+    E.writeback(d)
+    E.w(d, "_i = -1")
+    E.w(d, f"raise {exc}")
 
 def _emit_call_exit(E, d, db, k, s):
     """Suspend at the defined-call record ``k``: publish the count,
     register the call site, park the callee + evaluated args on the
     frame and return control 1 (the trampoline pushes the frame — its
-    depth-limit HangError then unwinds through ``f.i``/``f.in_body``
-    exactly like the record path's)."""
+    depth-limit HangError then unwinds through ``f.i``/``f.in_body``)."""
     arg_rs, _dst, cdfn, _lat, _uops, _isv, _port, site = db.call_meta[k]
     E.w(d, f"_i = {k}")
-    E.w(d, f"executed += {k - E.exec_base + 1}")
+    if not E.stepped:
+        E.w(d, f"executed += {k - E.exec_base + 1}")
     args = ", ".join(f"regs[{ss}]" if ss >= 0 else E.K(cc)
                      for ss, cc in arg_rs)
     ats = ", ".join(f"times[{ss}]" if ss >= 0 else "0.0"
@@ -1781,42 +1661,29 @@ _PURE_OPCODES = frozenset({
 })
 
 
-def _leaf_inline_info(cdfn, globals_addr, costs, rtp, with_timing):
+def _leaf_inline_info(cdfn, globals_addr):
     """Inline plan for a defined callee, or None when it must stay a
-    real frame push: single supported block, RET/RET_VOID terminator,
-    no nested calls, and every record both pure (cannot raise — see
-    :data:`_PURE_OPCODES`) and emittable. Purity is what makes the
-    expansion safe: with no exception possible between the depth check
-    and the return, none of the frame-stack bookkeeping a real push
-    maintains for the unwinder is observable."""
-    try:
-        if len(cdfn.blocks) != 1:
-            return None
-        cdb = cdfn.blocks[0]
-        if cdb.term_kind not in (_T_RET, _T_RET_VOID):
-            return None
-        if any(cm is not None for cm in cdb.call_meta):
-            return None
-        crecords, cterm = _block_records(cdfn.fn.blocks[0])
-        if cterm is None or len(crecords) != cdb.n:
-            return None
-        for r in crecords:
-            if r.opcode not in _PURE_OPCODES:
-                return None
-        cslot_map, cnslots = slot_layout(cdfn.fn)
-        if cnslots != cdfn.nslots:
-            return None
-        crv = operand_resolver(cslot_map, globals_addr)
-        # Probe-emit into a scratch emitter: a pure-but-unsupported
-        # record keeps the call on the real push path without dragging
-        # the caller's block off the compiled path.
-        scratch = _Emitter({}, {}, with_timing)
-        for r in crecords:
-            _emit_record(scratch, 1, r, cslot_map.get(id(r), -1), crv,
-                         costs, rtp)
-        return (crecords, cslot_map, crv, cnslots, cdb)
-    except (_Unsupported, _Undecodable):
+    real frame push: single block, RET/RET_VOID terminator, no nested
+    calls, and every record pure (cannot raise — see
+    :data:`_PURE_OPCODES`). Purity is what makes the expansion safe:
+    with no exception possible between the depth check and the return,
+    none of the frame-stack bookkeeping a real push maintains for the
+    unwinder is observable."""
+    if len(cdfn.blocks) != 1:
         return None
+    cdb = cdfn.blocks[0]
+    if cdb.term_kind not in (_T_RET, _T_RET_VOID):
+        return None
+    if any(cm is not None for cm in cdb.call_meta) or \
+            any(r is not None for r in cdb.raisers):
+        return None
+    crecords = cdb.records
+    for r in crecords:
+        if r.opcode not in _PURE_OPCODES:
+            return None
+    cslot_map, cnslots = slot_layout(cdfn.fn)
+    crv = operand_resolver(cslot_map, globals_addr)
+    return (crecords, cslot_map, crv, cnslots, cdb)
 
 
 def _emit_leaf_call(E, d, db, k, s, leaf, costs, rtp):
@@ -1825,8 +1692,8 @@ def _emit_leaf_call(E, d, db, k, s, leaf, costs, rtp):
     preconditions fail at runtime: a fault campaign is active (the
     callee may be an injection target), the push would trip the depth
     limit (push_frame raises the HangError), or the budget could expire
-    inside the callee (the callee's record path raises at the exact
-    instruction). The fast arm replays the real path's observable
+    inside the callee (the callee's frame turns stepped and raises at
+    the exact instruction). The fast arm replays the real path's observable
     effects in order: callee records, callee block counters, ret issue,
     then the caller's call-record issue — same TimingModel and counter
     evolution, no Frame, no driver round trip."""
@@ -1902,25 +1769,37 @@ def _emit_leaf_call(E, d, db, k, s, leaf, costs, rtp):
     E.inlined = True
 
 
-def _emit_span(E, d, db, records, start, seg_s, rv, slot_map, costs,
-               seg_lookup, bi_of, rtp, leaf_of):
+def _emit_span(E, d, db, start, seg_s, rv, slot_map, costs, seg_lookup,
+               bi_of, rtp, leaf_of):
     """Emit the block body from record ``start`` through the
     terminator: plain records, then at each defined call either the
     generic suspend (boundary for the next segment) or — for inlinable
-    leaf callees — the guarded inline expansion, after which emission
-    continues in place to the next boundary."""
+    leaf callees (fast variant only) — the guarded inline expansion,
+    after which emission continues in place to the next boundary."""
+    records = db.records
     calls = [k for k, cm in enumerate(db.call_meta) if cm is not None]
     nxt = next((kk for kk in calls if kk >= start), None)
     end = nxt if nxt is not None else db.n
+    stepped = E.stepped
     for k in range(start, end):
         E.w(d, f"_i = {k}")
-        _emit_record(E, d, records[k], slot_map.get(id(records[k]), -1),
-                     rv, costs, rtp)
+        if stepped:
+            _emit_budget(E, d)
+        raiser = db.raisers[k]
+        if raiser is not None:
+            E.w(d, f"raise {E.KI(raiser[0])}({E.K(raiser[1])})")
+        else:
+            dst = slot_map.get(id(records[k]), -1)
+            _emit_record(E, d, records[k], dst, rv, costs, rtp)
+            if stepped and dst >= 0:
+                _emit_eligible(E, d, records[k], f"regs[{dst}]")
         E.mark(k + 1)
     if nxt is None:
         _emit_terminator(E, d, db, seg_s, costs, seg_lookup, bi_of, rtp)
         return
     E.w(d, f"_i = {nxt}")
+    if stepped:
+        _emit_budget(E, d)
     leaf = leaf_of(db.call_meta[nxt][2])
     if leaf is None:
         if E.region_mode:
@@ -1930,8 +1809,8 @@ def _emit_span(E, d, db, records, start, seg_s, rv, slot_map, costs,
         return
     _emit_leaf_call(E, d, db, nxt, seg_s, leaf, costs, rtp)
     E.mark(nxt + 1)
-    _emit_span(E, d, db, records, nxt + 1, seg_s, rv, slot_map, costs,
-               seg_lookup, bi_of, rtp, leaf_of)
+    _emit_span(E, d, db, nxt + 1, seg_s, rv, slot_map, costs, seg_lookup,
+               bi_of, rtp, leaf_of)
 
 
 def _precheck_span(db, s, leaf_of):
@@ -1939,8 +1818,8 @@ def _precheck_span(db, s, leaf_of):
     ``s``: records through the next real suspend (or the terminator),
     plus the full body+ret of every leaf call inlined along the way.
     Used in the entry budget precheck so an inlined span can never run
-    past ``maxi`` — near exhaustion the precheck bails to the record
-    path (control 3), which raises at the exact instruction."""
+    past ``maxi`` — near exhaustion the precheck switches the frame to
+    stepped segments, which raise at the exact instruction."""
     extra = 0
     for k in range(s, db.n):
         cm = db.call_meta[k]
@@ -1999,51 +1878,39 @@ _CACHE_HOISTS = (
 
 
 def _emit_branch_arm(E, d, cur_db, succ_db, seg_lookup, bi_of):
-    """One branch arm: inline the successor's phi moves for this edge,
-    then jump within the region (region mode, successor in-region),
-    thread straight to the successor's first segment, or hand back to
-    the trampoline's generic stage (control 2) when the successor has
-    no segment or the edge has no pre-resolved move list (the generic
-    stage reproduces the reference KeyError)."""
+    """One branch arm: the successor's phi moves for this edge, then a
+    jump within the region (region mode, successor in-region) or a
+    threaded return of the successor's entry segment. An edge with no
+    pre-resolved move list raises the reference's KeyError."""
     tbi = bi_of[id(succ_db)]
-    tgt = seg_lookup(tbi, 0)
-    moves = None
-    edge_ok = True
+    moves = ()
     if succ_db.phi_moves is not None:
         moves = succ_db.phi_moves.get(cur_db)
         if moves is None:
-            edge_ok = False
-    if tgt is None or not edge_ok:
-        E.w(d, f"f.prev = {E.KI(cur_db)}")
-        E.w(d, f"f.block = {E.KI(succ_db)}")
-        E.w(d, "f.phis_pending = True")
-        E.w(d, "f.in_body = False")
-        E.w(d, "f.i = 0")
-        E.writeback(d)
-        E.w(d, "return executed, 2")
+            msg = f"phi in %{succ_db.name} has no incoming from %{cur_db.name}"
+            _emit_raise_at(E, d, succ_db, 0, False,
+                           f"{E.KI(KeyError)}({E.K(msg)})")
+            return
+    if E.stepped:
+        _emit_stepped_arm(E, d, succ_db, moves, seg_lookup(tbi, 0))
         return
-    if moves:
-        dsts = {m[0] for m in moves}
-        srcs = {m[1] for m in moves if m[1] >= 0}
-        if dsts & srcs:
-            # Parallel moves: stage every read before any write (phi
-            # semantics — a swapped pair must not see its own update).
-            for j, (_mdst, ms, mc) in enumerate(moves):
-                E.w(d, f"_p{j} = " + (f"regs[{ms}]" if ms >= 0
-                                      else E.K(mc)))
-                E.w(d, f"_u{j} = " + (f"times[{ms}]" if ms >= 0
-                                      else "0.0"))
-            for j, (mdst, _ms, _mc) in enumerate(moves):
-                E.w(d, f"regs[{mdst}] = _p{j}")
-                E.w(d, f"times[{mdst}] = _u{j}")
-        else:
-            # No destination feeds another move's source: write
-            # directly, skipping the staging temporaries.
-            for mdst, ms, mc in moves:
-                E.w(d, f"regs[{mdst}] = " + (f"regs[{ms}]" if ms >= 0
-                                             else E.K(mc)))
-                E.w(d, f"times[{mdst}] = " + (f"times[{ms}]" if ms >= 0
-                                              else "0.0"))
+    dsts = {m[0] for m in moves}
+    srcs = {m[1] for m in moves if m[1] >= 0}
+    if dsts & srcs:
+        # Parallel moves: stage every read before any write (phi
+        # semantics — a swapped pair must not see its own update).
+        _emit_phi_staging(E, d, moves)
+        for j, (mdst, _ms, _mc) in enumerate(moves):
+            E.w(d, f"regs[{mdst}] = _p{j}")
+            E.w(d, f"times[{mdst}] = _u{j}")
+    else:
+        # No destination feeds another move's source: write directly,
+        # skipping the staging temporaries.
+        for mdst, ms, mc in moves:
+            E.w(d, f"regs[{mdst}] = " + (f"regs[{ms}]" if ms >= 0
+                                         else E.K(mc)))
+            E.w(d, f"times[{mdst}] = " + (f"times[{ms}]" if ms >= 0
+                                          else "0.0"))
     if E.region_mode and tbi in E.region_bis:
         # Intra-region edge: accumulate this block's issue totals and
         # jump through the dispatch loop — no trampoline round-trip.
@@ -2055,16 +1922,63 @@ def _emit_branch_arm(E, d, cur_db, succ_db, seg_lookup, bi_of):
         return
     E.writeback(d)
     E.uses_sg = True
+    E.w(d, f"return executed, _sg[{seg_lookup(tbi, 0)}]")
+
+
+def _emit_phi_staging(E, d, moves):
+    for j, (_mdst, ms, mc) in enumerate(moves):
+        E.w(d, f"_p{j} = " + (f"regs[{ms}]" if ms >= 0 else E.K(mc)))
+        E.w(d, f"_u{j} = " + (f"times[{ms}]" if ms >= 0 else "0.0"))
+
+
+def _emit_stepped_arm(E, d, succ_db, moves, tgt):
+    """Stepped arm: the frame moves to the successor's entry *before*
+    the phi moves, whose eligible-stream steps belong to the successor
+    (the reference evaluates phis on block entry, after the
+    predecessor's counters are in); a capture poll then sees the
+    cursor it can resume at."""
+    _emit_phi_staging(E, d, moves)
+    E.writeback(d)
+    E.w(d, f"f.block = {E.KI(succ_db)}")
+    E.w(d, "f.in_body = False")
+    E.w(d, "f.i = 0")
+    if moves:
+        # A hook raising from here on finds nothing left to restore.
+        E.w(d, "_i = -1")
+    for j, (mdst, _ms, _mc) in enumerate(moves):
+        _emit_eligible(E, d, succ_db.phis[j], f"_p{j}")
+        E.w(d, f"regs[{mdst}] = _p{j}")
+        E.w(d, f"times[{mdst}] = _u{j}")
+    E.uses_sg = True
     E.w(d, f"return executed, _sg[{tgt}]")
 
 
 def _emit_terminator(E, d, db, s, costs, seg_lookup, bi_of, rtp):
     """Block completion: static-counter flush as literal increments,
-    then the decoded terminator — mirroring the trampoline's record
-    path (the budget precheck at segment entry already covered the
+    then the decoded terminator, in the reference's order (a fast
+    segment's budget precheck at entry already covered the
     terminator's increment)."""
     t = E.with_timing
-    E.w(d, f"executed += {db.n - E.exec_base + 1}")
+    n = db.n
+    kind = db.term_kind
+    if E.stepped:
+        E.w(d, f"_i = {n}")
+        if kind == _T_FALLOFF:
+            # Fell off a block with no terminator: nothing is counted.
+            E.w(d, f"raise {E.KI(MemoryFault)}(0, 0)")
+            return
+        _emit_budget(E, d)
+        if kind == _T_UNREACHABLE:
+            E.w(d, f"raise {E.KI(MemoryFault)}(0, 0)")
+            return
+    elif kind in (_T_FALLOFF, _T_UNREACHABLE):
+        counted = n - E.exec_base + (kind == _T_UNREACHABLE)
+        if counted:
+            E.w(d, f"executed += {counted}")
+        _emit_raise_at(E, d, db, n, True, f"{E.KI(MemoryFault)}(0, 0)")
+        return
+    else:
+        E.w(d, f"executed += {n - E.exec_base + 1}")
     for key, val in db.full_pairs:
         if E.region_mode:
             E.w(d, f"{E.ctr(key)} += {val}")
@@ -2075,7 +1989,6 @@ def _emit_terminator(E, d, db, s, costs, seg_lookup, bi_of, rtp):
         E.w(d + 1, "_bo = M.counters.by_opcode")
         for op, cnt in db.opcode_items:
             E.w(d + 1, f"_bo[{op!r}] = _bo.get({op!r}, 0) + {cnt}")
-    kind = db.term_kind
     if kind == _T_BR:
         succ, lat = db.term
         if t:
@@ -2086,6 +1999,9 @@ def _emit_terminator(E, d, db, s, costs, seg_lookup, bi_of, rtp):
         cs, cc, tb, eb, inst, lat = db.term
         cond = f"regs[{cs}]" if cs >= 0 else E.K(cc)
         E.w(d, f"_tk = True if {cond} else False")
+        if E.stepped:
+            E.w(d, "if M._branch_stream_live:")
+            E.w(d + 1, f"_tk = M._branch_step(_tk, {E.KI(inst)})")
         pckey = E.K(id(inst))
         E.uses_pred = True
         E.w(d, f"_pc = _pcs.get({pckey})")
@@ -2147,86 +2063,145 @@ def _emit_terminator(E, d, db, s, costs, seg_lookup, bi_of, rtp):
     E.w(d, "return executed, None")
 
 
-def _emit_block_segments(db, records, rv, slot_map, costs, consts, seen,
-                         with_timing, seg_lookup, bi, bi_of, rtp, leaf_of,
+def _emit_except(E, d, s):
+    """The segment's ``except`` clause: pin the cursor at the raising
+    record, restore the exact timing state (every prior record issued
+    once, the raiser did not) and publish the dynamic-instruction count
+    including the raising record (counted before executed). Raises
+    placed by :func:`_emit_raise_at` (``_i < 0``) did their own
+    bookkeeping."""
+    w = E.w
+    w(d, "except BaseException:")
+    w(d + 1, "if _i < 0:")
+    w(d + 2, "if executed > M._executed:")
+    w(d + 3, "M._executed = executed")
+    w(d + 2, "raise")
+    w(d + 1, "f.i = _i")
+    if E.with_timing and E.pend_issued:
+        w(d + 1, "_tm.issue_time = _ti")
+        w(d + 1, "_tm.finish_time = _tr")
+        w(d + 1, "_tm._retire_frontier = _tr")
+        # Inlined leaf calls break the one-issue-per-record identity;
+        # the flush tables carry the true prefix sums.
+        if E.inlined:
+            w(d + 1, f"_tm.issued += {tuple(E.cum_issued)!r}[_i - {s}]")
+        else:
+            w(d + 1, f"_tm.issued += _i - {s}")
+        w(d + 1, f"_tm.uops_issued += {tuple(E.cum_uops)!r}[_i - {s}]")
+    if E.stepped:
+        # Stepped segments count every record as it starts.
+        w(d + 1, "_ex = executed")
+    elif E.inlined:
+        w(d + 1, f"_ex = executed + {tuple(E.rec_adj)!r}[_i - {s}] + 1")
+    else:
+        w(d + 1, f"_ex = executed + (_i - {s}) + 1")
+    w(d + 1, "if _ex > M._executed:")
+    w(d + 2, "M._executed = _ex")
+    w(d + 1, "raise")
+
+
+def _hoists(E) -> List[str]:
+    hoists = []
+    if E.with_timing and (E.pend_issued or E.region_mode):
+        hoists += _timing_hoists(E)
+    if E.need_mem:
+        hoists.append("_mem = M.memory")
+    if E.need_msl:
+        hoists.append("_msl = M._mem_stream_live")
+    if E.need_cache:
+        hoists += _CACHE_HOISTS
+    if E.uses_pred:
+        hoists += _PRED_HOISTS
+    return ["    " + h for h in hoists]
+
+
+def _seg_def(fname, E, extra=""):
+    params = "".join(f", {n}={n}" for n in E.used)
+    sg = ", _sg=_sg" if E.uses_sg else ""
+    return (f"def {fname}(M, f, regs, times, executed, timing, maxi, cd, "
+            f"byop{extra}{sg}{params}):")
+
+
+def _emit_block_segments(db, rv, slot_map, costs, consts, seen, vidx,
+                         seg_lookup, bi, bi_of, rtp, leaf_of,
                          skip_entry=False):
-    """Emit every segment of one block. Returns (source lines,
-    [(boundary, fname), ...]). Raises :class:`_Unsupported` /
-    ``_Undecodable`` if any record falls outside the compiled subset.
-    ``skip_entry`` omits the boundary-0 segment (used for region blocks
-    whose entry is the region trampoline but whose inlined calls still
-    need post-call resume segments)."""
+    """Emit the entry segments of one block (0, and ``k + 1`` after each
+    defined call at record ``k``). Returns the source lines.
+    ``skip_entry`` omits the boundary-0 segment
+    (used for region blocks whose entry is the region loop but whose
+    inlined calls still need post-call resume segments)."""
+    with_timing = vidx in (0, 2)
+    stepped = vidx >= 2
     calls = [k for k, cm in enumerate(db.call_meta) if cm is not None]
     out: List[str] = []
-    metas: List[Tuple[int, str]] = []
     starts = [k + 1 for k in calls]
     if not skip_entry:
         starts = [0] + starts
     for s in starts:
-        E = _Emitter(consts, seen, with_timing)
+        E = _Emitter(consts, seen, with_timing, stepped)
         E.reset_block(s)
         fname = f"_s{seg_lookup(bi, s)}"
-        blkc = E.KI(db)
-        E.w(1, f"f.block = {blkc}")
+        E.w(1, f"f.block = {E.KI(db)}")
         E.w(1, "f.in_body = True")
         E.w(1, f"f.i = {s}")
-        E.w(1, f"if executed + {_precheck_span(db, s, leaf_of)} > maxi:")
-        E.w(2, "return executed, 3")
+        if stepped:
+            E.w(1, "_inj = f.inject")
+        else:
+            # Within one span of the budget: run the frame stepped, so
+            # the HangError lands on the exact instruction.
+            E.w(1, f"if executed + {_precheck_span(db, s, leaf_of)} > maxi:")
+            E.w(2, "f.stepped = True")
+            E.w(2, "return executed, 2")
         E.w(1, f"_i = {s}")
         hoist_at = len(E.lines)
         E.w(1, "try:")
-        _emit_span(E, 2, db, records, s, s, rv, slot_map, costs,
-                   seg_lookup, bi_of, rtp, leaf_of)
-        E.w(1, "except BaseException:")
-        E.w(2, "f.i = _i")
-        if with_timing and E.pend_issued:
-            # Restore the exact timing state at the raising record: all
-            # prior records issued exactly once, the raiser did not.
-            # (Inlined leaf calls break the one-issue-per-record
-            # identity; the flush tables carry the true prefix sums.)
-            E.w(2, "_tm.issue_time = _ti")
-            E.w(2, "_tm.finish_time = _tr")
-            E.w(2, "_tm._retire_frontier = _tr")
-            if E.inlined:
-                E.w(2, f"_tm.issued += {tuple(E.cum_issued)!r}[_i - {s}]")
-            else:
-                E.w(2, f"_tm.issued += _i - {s}")
-            E.w(2, f"_tm.uops_issued += {tuple(E.cum_uops)!r}[_i - {s}]")
-        # The trampoline's local count is stale once we raise; publish
-        # the prior records + the raising one (counted-before-executed),
-        # like the record loop's running `executed` would be.
-        if E.inlined:
-            E.w(2, f"_ex = executed + {tuple(E.rec_adj)!r}[_i - {s}] + 1")
-        else:
-            E.w(2, f"_ex = executed + (_i - {s}) + 1")
-        E.w(2, "if _ex > M._executed:")
-        E.w(3, "M._executed = _ex")
-        E.w(2, "raise")
-        hoists = []
-        if with_timing and E.pend_issued:
-            hoists += _timing_hoists(E)
-        if E.need_mem:
-            hoists.append("_mem = M.memory")
-        if E.need_cache:
-            hoists += _CACHE_HOISTS
-        if E.uses_pred:
-            hoists += _PRED_HOISTS
-        E.lines[hoist_at:hoist_at] = ["    " + h for h in hoists]
-        params = "".join(f", {n}={n}" for n in E.used)
-        sg = ", _sg=_sg" if E.uses_sg else ""
-        out.append(f"def {fname}(M, f, regs, times, executed, timing, "
-                   f"maxi, cd, byop{sg}{params}):")
+        _emit_span(E, 2, db, s, s, rv, slot_map, costs, seg_lookup, bi_of,
+                   rtp, leaf_of)
+        _emit_except(E, 1, s)
+        E.lines[hoist_at:hoist_at] = _hoists(E)
+        out.append(_seg_def(fname, E))
         out.extend(E.lines)
         out.append("")
-        metas.append((s, fname))
-    return out, metas
+    return out
 
 
-def _emit_region(dfn, region_bis, supported, rv, slot_map, costs, consts,
-                 seen, with_timing, seg_lookup, bi_of, rtp, rname, leaf_of):
-    """Emit the function's region closure: every supported block whose
-    defined calls (if any) are all leaf-inlinable, compiled into one
-    ``while True`` dispatch loop keyed on the block index ``_b``.
+def _emit_return_segment(db, k, consts, seen, vidx, seg_lookup, bi):
+    """The call-return segment of the defined call at record ``k``: the
+    callee's value (``f.rv``) lands in the destination, the call record
+    issues, and — stepped, in an inject frame — the result takes its
+    eligible-stream step; then the frame continues at entry ``k + 1``
+    (a capture poll in between sees that cursor). An exception here
+    leaves the cursor on the call record, so the unwinder flushes the
+    record partially, like the reference's call that raised."""
+    arg_rs, dst, _cdfn, lat, uops, isv, port, _site = db.call_meta[k]
+    E = _Emitter(consts, seen, vidx in (0, 2), vidx >= 2)
+    E.w(1, "_v = f.rv")
+    E.w(1, "f.rv = None")
+    E.w(1, "M._call_sites.pop()")
+    if dst >= 0:
+        E.w(1, f"regs[{dst}] = _v")
+    if E.with_timing:
+        ats = "".join(f"times[{s}], " if s >= 0 else "0.0, "
+                      for s, _c in arg_rs)
+        E.w(1, f"_d = timing.issue('call', {E.K(lat)}, ({ats}), 0.0, "
+               f"{uops}, {isv}, {E.K(port)})")
+        if dst >= 0:
+            E.w(1, f"times[{dst}] = _d")
+    if E.stepped and dst >= 0:
+        E.w(1, "_inj = f.inject")
+        _emit_eligible(E, 1, db.records[k], f"regs[{dst}]")
+    E.w(1, f"f.i = {k + 1}")
+    E.uses_sg = True
+    E.w(1, f"return executed, _sg[{seg_lookup(bi, k + 1)}]")
+    fname = f"_s{seg_lookup(bi, -1 - k)}"
+    return [_seg_def(fname, E)] + E.lines + [""]
+
+
+def _emit_region(dfn, region_bis, rv, slot_map, costs, consts, seen,
+                 with_timing, seg_lookup, bi_of, rtp, rname, leaf_of):
+    """Emit the function's region closure (fast variant): every block
+    whose defined calls (if any) are all leaf-inlinable, compiled into
+    one ``while True`` dispatch loop keyed on the block index ``_b``.
     Intra-region branches become phi moves plus ``_b = <target>;
     continue`` — no trampoline round-trip and no per-block
     flush/rehoist of the timing scalars, which is where the per-segment
@@ -2259,7 +2234,6 @@ def _emit_region(dfn, region_bis, supported, rv, slot_map, costs, consts,
     first = True
     for bi in sorted(region_bis):
         db = dfn.blocks[bi]
-        records = supported[bi]
         bmap[bi] = db
         E.w(3, f"{'if' if first else 'elif'} _b == {bi}:")
         first = False
@@ -2273,21 +2247,26 @@ def _emit_region(dfn, region_bis, supported, rv, slot_map, costs, consts,
         E.w(d + 1, "f.in_body = True")
         E.w(d + 1, "f.i = 0")
         E.writeback(d + 1)
-        E.w(d + 1, "return executed, 3")
-        _emit_span(E, d, db, records, 0, 0, rv, slot_map, costs,
-                   seg_lookup, bi_of, rtp, leaf_of)
+        E.w(d + 1, "f.stepped = True")
+        E.w(d + 1, "return executed, 2")
+        _emit_span(E, d, db, 0, 0, rv, slot_map, costs, seg_lookup, bi_of,
+                   rtp, leaf_of)
         cum_tables[bi] = tuple(E.cum_uops)
         iss_tables[bi] = tuple(E.cum_issued)
         adj_tables[bi] = tuple(E.rec_adj)
     E.w(3, "else:")
     E.w(4, "raise RuntimeError('bad region block %r' % _b)")
-    # Only records raise (phi moves are pure reg/const reads, inlined
-    # leaf bodies are exception-free by construction, and the
-    # terminators cannot raise: budget is prechecked and the inlined
+    # Records raise; other raises set the frame themselves (_i < 0).
+    # Inlined leaf bodies are exception-free by construction and the
+    # terminators cannot raise (budget is prechecked and the inlined
     # predictor/timing updates are exception-free), so _b/_i pinpoint
     # the raising record and the frame/timing flush mirrors the
     # segment except path with the completed blocks' totals added.
     E.w(1, "except BaseException:")
+    E.w(2, "if _i < 0:")
+    E.w(3, "if executed > M._executed:")
+    E.w(4, "M._executed = executed")
+    E.w(3, "raise")
     E.w(2, f"f.block = {E.K(bmap)}[_b]")
     E.w(2, "f.in_body = True")
     E.w(2, "f.i = _i")
@@ -2302,16 +2281,7 @@ def _emit_region(dfn, region_bis, supported, rv, slot_map, costs, consts,
     E.w(2, "if _ex > M._executed:")
     E.w(3, "M._executed = _ex")
     E.w(2, "raise")
-    hoists = []
-    if with_timing:
-        hoists += _timing_hoists(E)
-    if E.need_mem:
-        hoists.append("_mem = M.memory")
-    if E.need_cache:
-        hoists += _CACHE_HOISTS
-    if E.uses_pred:
-        hoists += _PRED_HOISTS
-    E.lines[hoist_at:hoist_at] = ["    " + h for h in hoists]
+    E.lines[hoist_at:hoist_at] = _hoists(E)
     # Patch the counter-accumulator markers now that the full key set
     # is known: inits at entry, dict flushes at every exit. A marker
     # with no keys vanishes (every marked suite also holds a return
@@ -2329,96 +2299,68 @@ def _emit_region(dfn, region_bis, supported, rv, slot_map, costs, consts,
             lines.extend(ind + s for s in flush)
         else:
             lines.append(line)
-    params = "".join(f", {n}={n}" for n in E.used)
-    sg = ", _sg=_sg" if E.uses_sg else ""
-    return ([f"def {rname}(M, f, regs, times, executed, timing, "
-             f"maxi, cd, byop, _b{sg}{params}):"]
-            + lines + [""])
+    return [_seg_def(rname, E, ", _b")] + lines + [""]
 
 
-def _emit_function(dfn, costs, globals_addr, with_timing):
-    """Compile-emit one decoded function. Returns (source, consts,
-    [(block index, boundary, fname), ...]) or None if nothing in the
-    function is compilable."""
+def _emit_function(dfn, costs, globals_addr, vidx):
+    """Compile-emit one decoded function in variant ``vidx``. Returns
+    (source chunks, consts, {(block index, key): n}): every block gets
+    its entry segments and one call-return segment per defined call,
+    segment ``n`` being the function ``_s<n>``. Each chunk is one top-level ``def``, compiled on its
+    own so the parser's transient memory stays at one segment's worth
+    (the stepped variant of a large function is hundreds of KB of
+    source); the chunks run in order in one namespace."""
     fn = dfn.fn
-    slot_map, nslots = slot_layout(fn)
-    if nslots != dfn.nslots:
-        return None
+    slot_map, _nslots = slot_layout(fn)
     rv = operand_resolver(slot_map, globals_addr)
     bi_of = {id(db): i for i, db in enumerate(dfn.blocks)}
     rtp = costs.vector_alu_rtp
+    stepped = vidx >= 2
 
     leaf_cache: Dict[int, object] = {}
 
     def leaf_of(cdfn):
-        """Memoized inline plan per callee (None = real push)."""
+        """Memoized inline plan per callee (None = real push). Stepped
+        frames always really push: the callee may do eligible-stream
+        work, and every record counts against the budget."""
+        if stepped:
+            return None
         key = id(cdfn)
         if key not in leaf_cache:
-            leaf_cache[key] = _leaf_inline_info(
-                cdfn, globals_addr, costs, rtp, with_timing)
+            leaf_cache[key] = _leaf_inline_info(cdfn, globals_addr)
         return leaf_cache[key]
 
-    candidates = {}
-    for bi, bb in enumerate(fn.blocks):
-        db = dfn.blocks[bi]
-        if db.term_kind not in _SUPPORTED_TERMS:
-            continue
-        records, terminator = _block_records(bb)
-        if terminator is None or len(records) != db.n:
-            continue
-        candidates[bi] = records
-
-    # Probe pass into throwaway accumulators: a block with any record
-    # outside the compiled subset stays whole on the record path (the
-    # real pass then starts from a known-supported set, so constant
-    # numbering is deterministic).
-    supported = {}
-    for bi, records in sorted(candidates.items()):
-        try:
-            _emit_block_segments(dfn.blocks[bi], records, rv, slot_map,
-                                 costs, {}, {}, with_timing,
-                                 lambda _bi, _s: 0, bi, bi_of, rtp,
-                                 leaf_of)
-        except (_Unsupported, _Undecodable):
-            continue
-        supported[bi] = records
-    if not supported:
-        return None
-
     seg_index: Dict[Tuple[int, int], int] = {}
-    for bi in sorted(supported):
-        db = dfn.blocks[bi]
+    for bi, db in enumerate(dfn.blocks):
         calls = [k for k, cm in enumerate(db.call_meta) if cm is not None]
-        for s in [0] + [k + 1 for k in calls]:
-            seg_index[(bi, s)] = len(seg_index)
+        for key in [0] + [k + 1 for k in calls] + [-1 - k for k in calls]:
+            seg_index[(bi, key)] = len(seg_index)
 
     def seg_lookup(bi, s):
-        return seg_index.get((bi, s))
+        return seg_index[(bi, s)]
 
-    # Supported blocks whose defined calls (if any) are all inlinable
-    # leaves merge into one region closure; blocks with a call that
-    # must really push keep per-boundary segments (the call suspends
-    # control, which the region loop cannot express in its fast path).
-    region = frozenset(
-        bi for bi in supported
+    # Fast variant: blocks whose defined calls (if any) are all
+    # inlinable leaves merge into one region closure; blocks with a
+    # call that must really push keep per-boundary segments (the call
+    # suspends control, which the region loop cannot express in its
+    # fast path).
+    region = frozenset() if stepped else frozenset(
+        bi for bi, db in enumerate(dfn.blocks)
         if all(leaf_of(cm[2]) is not None
-               for cm in dfn.blocks[bi].call_meta if cm is not None)
+               for cm in db.call_meta if cm is not None)
     )
 
     consts: Dict[str, object] = {}
     seen: Dict[int, str] = {}
-    out: List[str] = [f"# compiled segments of @{fn.name} "
-                      f"({'timing' if with_timing else 'plain'})"]
-    metas: List[Tuple[int, int, str]] = []
+    out: List[str] = [f"# compiled segments of @{fn.name} ({VARIANTS[vidx]})"]
     rname = "_rg0"
     if region:
         # The region def must precede the trampolines: each trampoline
         # binds it as a keyword default at def time.
-        out.extend(_emit_region(dfn, region, supported, rv, slot_map,
-                                costs, consts, seen, with_timing,
-                                seg_lookup, bi_of, rtp, rname, leaf_of))
-    for bi in sorted(supported):
-        db = dfn.blocks[bi]
+        out.extend(_emit_region(dfn, region, rv, slot_map, costs, consts,
+                                seen, vidx == 0, seg_lookup, bi_of, rtp,
+                                rname, leaf_of))
+    for bi, db in enumerate(dfn.blocks):
         if bi in region:
             fname = f"_s{seg_index[(bi, 0)]}"
             out.append(f"def {fname}(M, f, regs, times, executed, "
@@ -2426,85 +2368,77 @@ def _emit_function(dfn, costs, globals_addr, with_timing):
             out.append(f"    return _rg(M, f, regs, times, executed, "
                        f"timing, maxi, cd, byop, {bi})")
             out.append("")
-            metas.append((bi, 0, fname))
-            if any(cm is not None for cm in db.call_meta):
-                # A region block with (inlinable) calls still needs its
-                # post-call boundary segments: a guard-failed inline
-                # suspends for a real push, and the driver resumes at
-                # segment (bi, k+1). Metas stay in seg_index order —
-                # the trampoline is (bi, 0), boundaries follow.
-                lines, ms = _emit_block_segments(
-                    db, supported[bi], rv, slot_map, costs, consts,
-                    seen, with_timing, seg_lookup, bi, bi_of, rtp,
-                    leaf_of, skip_entry=True)
-                out.extend(lines)
-                metas.extend((bi, s, fn2) for s, fn2 in ms)
-            continue
-        lines, ms = _emit_block_segments(db, supported[bi],
-                                         rv, slot_map, costs, consts,
-                                         seen, with_timing, seg_lookup,
-                                         bi, bi_of, rtp, leaf_of)
-        out.extend(lines)
-        metas.extend((bi, s, fname) for s, fname in ms)
-    return "\n".join(out) + "\n", consts, metas
+        # A region block with (inlinable) calls still needs its
+        # post-call boundary segments: a guard-failed inline suspends
+        # for a real push, and the driver resumes at (bi, k+1).
+        out.extend(_emit_block_segments(
+            db, rv, slot_map, costs, consts, seen, vidx, seg_lookup, bi,
+            bi_of, rtp, leaf_of, skip_entry=bi in region))
+        for k, cm in enumerate(db.call_meta):
+            if cm is not None:
+                out.extend(_emit_return_segment(
+                    db, k, consts, seen, vidx, seg_lookup, bi))
+    starts = [i for i, line in enumerate(out) if line.startswith("def ")]
+    bounds = [0] + starts[1:] + [len(out)]
+    chunks = ["\n".join(out[a:b]) + "\n" for a, b in zip(bounds, bounds[1:])]
+    return chunks, consts, seg_index
 
 
 def _compile_dfn(dmod, dfn, vidx, digest):
     """Emit + exec the segments of one function, reusing a cached code
     object when this (module digest, cost model, variant, function) was
-    compiled before. Returns (segments, blocks, code hit, code miss,
-    emitter error repr or None)."""
-    for db in dfn.blocks:
-        if db.compiled is None:
-            db.compiled = [None, None]
+    compiled before. Returns (segments, blocks, code hit, code miss);
+    raises :class:`CompileError` when the emitter fails."""
+    name = f"<repro.compiled:@{dfn.fn.name}>"
     try:
-        emitted = _emit_function(dfn, dmod.costs, dmod.globals_addr,
-                                 vidx == 0)
-    except Exception as exc:
-        # The record path stays available (and correct); count it.
-        return (0, 0, 0, 0, f"@{dfn.fn.name}: {exc!r}")
-    if emitted is None:
-        return (0, 0, 0, 0, None)
-    source, consts, metas = emitted
-    key = ((digest, id(dmod.costs), vidx, dfn.fn.name) if digest
-           else None)
-    code = None
-    hit = miss = 0
-    if key is not None:
-        entry = _CODE_CACHE.get(key)
-        # Emission re-runs per instance (the consts are per-decode
-        # objects); only compile() is shared, and only when the
-        # generated source is byte-identical.
-        if entry is not None and entry[1] == source:
-            code = entry[2]
-            hit = 1
-    if code is None:
-        code = compile(source, f"<repro.compiled:@{dfn.fn.name}>", "exec")
-        miss = 1
+        chunks, consts, seg_index = _emit_function(
+            dfn, dmod.costs, dmod.globals_addr, vidx)
+        source = "".join(chunks)
+        key = ((digest, id(dmod.costs), vidx, dfn.fn.name) if digest
+               else None)
+        codes = None
+        hit = miss = 0
         if key is not None:
-            # Keep the cost model alive so its id() cannot be recycled.
-            _CODE_CACHE[key] = (dmod.costs, source, code)
-    seglist: List[object] = [None] * len(metas)
+            entry = _CODE_CACHE.get(key)
+            # Emission re-runs per instance (the consts are per-decode
+            # objects); only compile() is shared, and only when the
+            # generated source is byte-identical.
+            if entry is not None and entry[1] == source:
+                codes = entry[2]
+                hit = 1
+        if codes is None:
+            codes = tuple(compile(c, name, "exec") for c in chunks)
+            miss = 1
+            if key is not None:
+                # Keep the cost model alive so its id() cannot be
+                # recycled.
+                _CODE_CACHE[key] = (dmod.costs, source, codes)
+    except Exception as exc:
+        raise CompileError(dfn.fn.name, VARIANTS[vidx], exc) from exc
+    seglist: List[object] = [None] * len(seg_index)
     ns = dict(consts)
     ns["_sg"] = seglist
-    exec(code, ns)  # noqa: S102 - our own generated segments
+    for code in codes:
+        exec(code, ns)  # noqa: S102 - our own generated segments
     per_block: Dict[int, Dict[int, object]] = {}
-    for idx, (bi, boundary, fname) in enumerate(metas):
-        seglist[idx] = ns[fname]
-        per_block.setdefault(bi, {})[boundary] = ns[fname]
+    for (bi, key), n in seg_index.items():
+        seg = seglist[n] = ns[f"_s{n}"]
+        per_block.setdefault(bi, {})[key] = seg
     for bi, segmap in per_block.items():
         dfn.blocks[bi].compiled[vidx] = segmap
-    return (len(metas), len(per_block), hit, miss, None)
+    return (len(seg_index), len(per_block), hit, miss)
 
 
 def ensure_compiled(dmod, vidx) -> Optional[Dict[str, object]]:
-    """Compile segments for every decoded function of ``dmod`` in the
-    given variant (0 = timing, 1 = plain) that is not compiled yet.
-    Idempotent and cheap when there is nothing to do. Returns the
-    compile-event payload when work happened, else None."""
+    """Compile segments for every decoded function of ``dmod`` in
+    variant ``vidx`` (an index into :data:`VARIANTS`) that is not
+    compiled yet. Idempotent and cheap when there is nothing to do.
+    Returns the compile-event payload when work happened, else None;
+    raises :class:`CompileError` naming the function the emitter
+    failed on."""
     done = getattr(dmod, "_compiled_fns", None)
     if done is None:
-        done = dmod._compiled_fns = [set(), set()]
+        done = dmod._compiled_fns = [set() for _ in VARIANTS]
     todo = [(fid, dfn) for fid, dfn in dmod._functions.items()
             if fid not in done[vidx]]
     if not todo:
@@ -2512,17 +2446,13 @@ def ensure_compiled(dmod, vidx) -> Optional[Dict[str, object]]:
     digest = _module_digest(dmod)
     t0 = time.perf_counter()
     segs = blocks = hits = misses = 0
-    errors: List[str] = []
     for fid, dfn in todo:
-        n_segs, n_blocks, hit, miss, error = _compile_dfn(dmod, dfn, vidx,
-                                                          digest)
+        n_segs, n_blocks, hit, miss = _compile_dfn(dmod, dfn, vidx, digest)
         done[vidx].add(fid)
         segs += n_segs
         blocks += n_blocks
         hits += hit
         misses += miss
-        if error is not None:
-            errors.append(error)
     ms = (time.perf_counter() - t0) * 1000.0
     COMPILE_STATS.functions += len(todo)
     COMPILE_STATS.blocks += blocks
@@ -2530,18 +2460,15 @@ def ensure_compiled(dmod, vidx) -> Optional[Dict[str, object]]:
     COMPILE_STATS.compile_ms += ms
     COMPILE_STATS.code_hits += hits
     COMPILE_STATS.code_misses += misses
-    COMPILE_STATS.fallbacks += len(errors)
     payload = {
         "digest": digest,
-        "variant": "timing" if vidx == 0 else "plain",
+        "variant": VARIANTS[vidx],
         "functions": len(todo),
         "blocks": blocks,
         "segments": segs,
         "compile_ms": ms,
         "code_hits": hits,
         "code_misses": misses,
-        "fallbacks": len(errors),
-        "fallback_errors": errors,
     }
     for hook in list(_COMPILE_HOOKS):
         hook(payload)
@@ -2551,13 +2478,12 @@ def ensure_compiled(dmod, vidx) -> Optional[Dict[str, object]]:
 # --- Engine runner ------------------------------------------------------------
 
 
-def run_compiled(M, fn, arg_values):
+def run_compiled(M, fn, arg_values, capture=None):
     """``engine="compiled"``, called by ``Machine.run``: decode once per
-    (module, cost model), ensure segments exist for the variant this
-    machine needs, and run on the trampoline."""
+    (module, cost model) and run on the trampoline, which compiles each
+    segment variant the first time a frame needs it."""
     dmod = decoded_module(M.module, M.config.cost_model, M.globals_addr)
-    dfn = dmod.function(fn)
-    ensure_compiled(dmod, 0 if M.timing is not None else 1)
     stack: List[Frame] = []
-    push_frame(M, stack, dfn, arg_values, [0.0] * len(arg_values))
-    return run_stack(M, stack, M._executed)
+    push_frame(M, stack, dmod.function(fn), arg_values,
+               [0.0] * len(arg_values))
+    return run_stack(M, stack, M._executed, capture)

@@ -329,9 +329,9 @@ class InjectionSession:
                                       fault_eligible=fault_eligible,
                                       engine=engine)
         if engine != "reference":
-            # Decode and compile segments up front so the first
-            # injection's timing is not an outlier (both are cached on
-            # the module either way).
+            # Decode and compile the stepped segments armed frames run
+            # up front so the first injection's timing is not an
+            # outlier (both are cached on the module either way).
             from ..cpu.compiled import ensure_compiled
             from ..cpu.engine import decoded_module
 
@@ -340,7 +340,7 @@ class InjectionSession:
                 self.machine.globals_addr,
             )
             dmod.function(module.get_function(entry))
-            ensure_compiled(dmod, 0 if self.machine.timing is not None else 1)
+            ensure_compiled(dmod, 2 if self.machine.timing is not None else 3)
         self.snapshot = self.machine.snapshot()
         self._trace = None  # lockstep trace, built on first batched use
         self._checkpoints = None  # CheckpointSet, attached per run_plans

@@ -20,10 +20,17 @@ heap up to its top and the stack up to its high-water mark, so stale
 stack bytes above the top resume exactly as a from-scratch run leaves
 them.
 
+Frames are stored as (function name, block index, cursor, register
+file): the top frame's cursor is a segment entry — 0 at a block entry,
+``k + 1`` right after the defined call at record ``k`` — and every
+suspended frame's cursor is its call record (version 3; version 2
+cursors could sit on any record).
+
 The format is versioned (:data:`SNAP_VERSION` inside :data:`MAGIC`'d
-header); readers reject unknown versions, truncated payloads and
-memory images the reader's machine could not install with
-:class:`SnapFormatError`, which stores treat as a cache miss.
+header); readers reject unknown versions, truncated payloads, memory
+images the reader's machine could not install and frame stacks its
+module cannot resume with :class:`SnapFormatError`, which stores treat
+as a cache miss.
 """
 
 from __future__ import annotations
@@ -41,7 +48,7 @@ from ..cpu.resumable import FrameState, ResumeState
 from ..cpu.timing import TimingModel
 
 MAGIC = b"RSNP"
-SNAP_VERSION = 2
+SNAP_VERSION = 3
 
 _F64 = struct.Struct("<d")
 
@@ -277,6 +284,44 @@ def _condbr_coords(machine):
     return id2coord, coord2id
 
 
+def _check_frames(frames, machine) -> None:
+    """Reject a frame stack the reader's module cannot resume: unknown
+    or undefined functions, block indices out of range, register files
+    of the wrong size, suspended frames that are not on a defined call
+    of the next frame's function, and a top-frame cursor that is no
+    segment entry."""
+    if not frames:
+        raise SnapFormatError("checkpoint has no frames")
+    dmod = decoded_module(
+        machine.module, machine.config.cost_model, machine.globals_addr
+    )
+    callee = None
+    for depth, fs in enumerate(frames):
+        where = f"frame {depth} (@{fs.fn})"
+        fn = machine.module.functions.get(fs.fn)
+        if fn is None or fn.is_declaration:
+            raise SnapFormatError(f"{where}: no such defined function")
+        dfn = dmod.function(fn)
+        if callee is not None and dfn is not callee:
+            raise SnapFormatError(f"{where}: not the caller's callee")
+        if not 0 <= fs.block < len(dfn.blocks):
+            raise SnapFormatError(f"{where}: block {fs.block} out of range")
+        if not len(fs.regs) == len(fs.times) == dfn.nslots:
+            raise SnapFormatError(
+                f"{where}: register file of {len(fs.regs)}/"
+                f"{len(fs.times)} slots, function has {dfn.nslots}")
+        block = dfn.blocks[fs.block]
+        if depth < len(frames) - 1:
+            if not (0 <= fs.i < block.n
+                    and block.call_meta[fs.i] is not None):
+                raise SnapFormatError(
+                    f"{where}: suspended at {fs.i}, not a defined call")
+            callee = block.call_meta[fs.i][2]
+        elif not (fs.i == 0 or (1 <= fs.i <= block.n
+                                and block.call_meta[fs.i - 1] is not None)):
+            raise SnapFormatError(f"{where}: cursor {fs.i} is no entry")
+
+
 def serialize_state(state: ResumeState, machine) -> bytes:
     """Flatten ``state`` to bytes. ``machine`` supplies the module
     build the coordinates are relative to (any machine configured like
@@ -367,8 +412,11 @@ def deserialize_state(data: bytes, machine) -> ResumeState:
         regs = r.value()
         times = r.value()
         mark = r.varint()
+        if not isinstance(regs, tuple) or not isinstance(times, tuple):
+            raise SnapFormatError("frame registers are not tuples")
         frames.append(FrameState(fn=fn, block=block, i=i, regs=regs,
                                  times=times, mark=mark))
+    _check_frames(frames, machine)
     return ResumeState(
         heap=heap,
         stack_mem=stack_mem,

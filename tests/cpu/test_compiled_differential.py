@@ -8,24 +8,27 @@ tier, through mid-run capture/resume, through batched injection, and
 through every registered fault model. Outcomes, output streams, stream
 counters, and architectural counters must be bit-identical everywhere:
 the compiled core is admissible only as a pure performance change.
-``count_only`` runs put every eligible frame on the record handlers,
-so they check the record path that armed frames, capture and budget
-bails fall back to.
+Plain runs exercise the fast segment variants; ``count_only`` runs,
+armed plans, budget sweeps and capture at every entry exercise the
+stepped variants that golden profiles, checkpoints and injected tails
+run on.
 
 The file also pins the compiled core's supporting machinery:
 ``MachineConfig.engine`` validation, the cross-instance compiled-code
-cache (warm compiles are 100% digest hits), and the ``engine-compile``
-lab event.
+cache (warm compiles are 100% digest hits), the ``engine-compile``
+lab event and its variant names, and ``CompileError`` for an emitter
+failure (there is no fallback path).
 """
 
 import random
 
 import pytest
 
+import repro.cpu.compiled as compiled_mod
 import repro.faults.campaign as campaign_mod
 from repro.cpu import Machine, MachineConfig
 from repro.cpu.compiled import (
-    COMPILE_STATS,
+    CompileError,
     add_compile_hook,
     capture_state,
     code_cache_clear,
@@ -52,24 +55,6 @@ ENGINES = ("reference", "compiled")
 
 PURE_OPS = ("add", "sub", "mul", "and", "or", "xor", "shl", "lshr", "ashr")
 CMPS = ("eq", "ne", "ult", "ule", "slt", "sle", "sgt", "uge")
-
-
-@pytest.fixture(autouse=True)
-def _no_compile_fallbacks():
-    # Surface segment-compiler bugs as failures instead of silent
-    # (bit-identical) fallbacks to the record path.
-    before = COMPILE_STATS.fallbacks
-    errors = []
-
-    def hook(payload):
-        errors.extend(payload["fallback_errors"])
-
-    add_compile_hook(hook)
-    try:
-        yield
-    finally:
-        remove_compile_hook(hook)
-    assert COMPILE_STATS.fallbacks == before, errors
 
 
 def _rand_leaf(module, rng, idx):
@@ -170,6 +155,7 @@ def _observe(module, entry, args, engine, collect_timing=True, plan=None,
         exc = (type(err).__name__, str(err))
     observed = {
         "exc": exc,
+        "executed": machine._executed,
         "counters": machine.counters.as_dict(),
         "output": list(machine.output),
     }
@@ -199,8 +185,7 @@ def test_random_modules_identical_across_engines(seed):
     finally:
         remove_compile_hook(payloads.append)
     assert runs["compiled"] == runs["reference"]
-    # The compiled run must actually have compiled something — an
-    # all-fallback run would make this test vacuous.
+    # The compiled run must actually have compiled something.
     assert sum(p["segments"] for p in payloads) > 0
 
 
@@ -209,8 +194,8 @@ def test_random_modules_identical_across_engines(seed):
 @pytest.mark.parametrize("seed", range(8))
 def test_count_only_record_path_identical(seed, collect_timing):
     """``count_only`` marks every eligible frame for per-record
-    bookkeeping, so the compiled engine runs those frames on the record
-    handlers: output, counters, cycles and the full stream profile must
+    bookkeeping, so the compiled engine runs those frames on stepped
+    segments: output, counters, cycles and the full stream profile must
     match the reference. Odd seeds are hardened, so checker sites and
     the hardening intrinsics' records are covered too."""
     module, entry, args = build_random_module(seed)
@@ -258,7 +243,7 @@ def test_trapping_modules_identical_across_engines(seed):
 @pytest.mark.parametrize("budget", [1, 17, 150])
 def test_budget_exhaustion_identical_across_engines(budget):
     # HangError must fire at the identical dynamic-instruction count
-    # (the compiled core's budget prechecks bail to the record path
+    # (a fast frame's budget precheck switches it to stepped segments
     # near exhaustion rather than over- or under-counting).
     module, entry, args = build_random_module(2)
     runs = {engine: _observe(module, entry, args, engine,
@@ -267,6 +252,82 @@ def test_budget_exhaustion_identical_across_engines(budget):
     assert runs["reference"]["exc"] is not None
     assert runs["reference"]["exc"][0] == "HangError"
     assert runs["compiled"] == runs["reference"]
+
+
+@pytest.mark.parametrize("model", model_names())
+def test_budget_sweep_with_plan_armed_identical(model):
+    """Stepped segments count every record against the budget: with a
+    plan of each fault model armed on hardened fuzz code, every budget
+    from one instruction to past the run's end hangs (or completes) at
+    the identical instruction, with identical counters, output and
+    stream profile."""
+    module, entry, args = build_random_module(6)
+    module = elzar_transform(mem2reg(module))
+    _, profile = golden_profile(module, entry, args)
+    cfg = CampaignConfig(injections=1, seed=5, fault_model=model)
+    plan, = draw_model_plans(profile, cfg)
+    step = max(1, profile.executed // 23)
+    budgets = sorted({1, 2, 3, *range(7, profile.executed + 2 * step, step)})
+    hangs = 0
+    for budget in budgets:
+        runs = {engine: _observe(module, entry, args, engine,
+                                 collect_timing=budget % 2 == 0, plan=plan,
+                                 max_instructions=budget)
+                for engine in ENGINES}
+        assert runs["compiled"] == runs["reference"], (model, budget)
+        hangs += runs["reference"]["exc"] is not None and \
+            runs["reference"]["exc"][0] == "HangError"
+    assert hangs >= len(budgets) // 2
+
+
+class _TakeAll:
+    """Capture policy taking a state at every entry it is polled at."""
+
+    next_index = 0
+
+    def __init__(self):
+        self.states = []
+
+    def take(self, machine, stack, executed):
+        self.states.append(capture_state(machine, stack, executed))
+
+
+@pytest.mark.parametrize("collect_timing", [True, False],
+                         ids=["timing", "plain"])
+@pytest.mark.parametrize("seed", [1, 4])
+def test_resume_from_every_entry_matches_straight_run(seed, collect_timing):
+    """Capture at every block and post-call entry of a fuzzed module
+    (odd seeds hardened); the tail resumed from each one completes
+    exactly like the straight run: value, output, counters, cycles."""
+    module, entry, args = build_random_module(seed)
+    if seed % 2:
+        module = elzar_transform(mem2reg(module))
+    config = MachineConfig(engine="compiled",
+                           collect_timing=collect_timing)
+    straight = _observe(module, entry, args, "reference", collect_timing)
+    cap = Machine(module, config)
+    cap.count_only = True
+    policy = _TakeAll()
+    run_resumable(cap, entry, args, capture=policy)
+    tops = [s.frames[-1] for s in policy.states]
+    # Block entries, callee entries and post-call entries all covered.
+    assert len(tops) > 50
+    assert any(len(s.frames) > 1 for s in policy.states)
+    assert any(top.i > 0 for top in tops)
+    machine = Machine(module, config)
+    for state in policy.states:
+        result = resume_run(machine, state, ())
+        resumed = {
+            "exc": None,
+            "executed": machine._executed,
+            "counters": result.counters.as_dict(),
+            "output": list(result.output),
+            "value": result.value,
+        }
+        if collect_timing:
+            resumed["cycles"] = result.cycles
+        assert resumed == straight, [(f.fn, f.block, f.i)
+                                     for f in state.frames]
 
 
 class _TakeOnce:
@@ -406,3 +467,46 @@ def test_durable_campaign_emits_engine_compile_event():
                 "compile_ms", "code_hits", "code_misses"):
         assert key in payload, key
     assert payload["segments"] > 0
+
+
+def test_emitter_failure_is_a_compile_error(monkeypatch):
+    """There is no slower path to fall back to: an emitter exception
+    stops the run with a CompileError naming the function and the
+    variant, raised from ensure_compiled."""
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("emitter bug")
+
+    monkeypatch.setattr(compiled_mod, "_emit_record", broken)
+    module, entry, args = build_random_module(11)
+    machine = Machine(module, MachineConfig(engine="compiled"))
+    with pytest.raises(CompileError) as info:
+        machine.run(entry, args)
+    assert info.value.function in module.functions
+    assert info.value.variant == "timing"
+    assert isinstance(info.value.__cause__, RuntimeError)
+
+
+def test_compile_events_name_the_variant():
+    """Each variant compiles on first use and its engine-compile
+    payload says which: a plain run compiles only the fast variant, a
+    count_only run (every frame eligible) only the stepped one, and a
+    budget that runs out mid-run adds the stepped variant lazily."""
+    module, entry, args = build_random_module(9)
+    payloads = []
+    add_compile_hook(payloads.append)
+    try:
+        Machine(module, MachineConfig(engine="compiled")).run(entry, args)
+        assert [p["variant"] for p in payloads] == ["timing"]
+        profiler = Machine(module, MachineConfig(engine="compiled",
+                                                 collect_timing=False))
+        profiler.count_only = True
+        profiler.run(entry, args)
+        assert [p["variant"] for p in payloads[1:]] == ["plain-stepped"]
+        _observe(module, entry, args, "compiled", max_instructions=200)
+        assert [p["variant"] for p in payloads[2:]] == ["timing-stepped"]
+    finally:
+        remove_compile_hook(payloads.append)
+    for payload in payloads:
+        assert "fallbacks" not in payload
+        assert payload["segments"] > 0

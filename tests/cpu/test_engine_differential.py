@@ -7,8 +7,8 @@ interpreter *bit for bit*: outputs, every architectural counter
 misses, by-opcode histogram), cycle counts, ILP, and the fault-injection
 observables (eligible counts, injection site, outcome). These tests
 sweep all 14 kernels, the three case-study apps, hardened builds,
-``count_only`` profiling runs (every eligible frame on the record
-handlers) and armed fault runs through both engines and require exact
+``count_only`` profiling runs (every eligible frame on stepped
+segments) and armed fault runs through both engines and require exact
 equality.
 """
 
@@ -122,12 +122,24 @@ def test_kernel_identical_without_timing(name):
     ("blackscholes", "elzar"), ("word_count", "swiftr"),
 ])
 def test_count_only_record_path_identical(name, version, collect_timing):
-    """count_only puts every eligible frame on the record handlers, so
-    each handler is checked against the reference, with and without
-    the timing model, on the fi-scale builds campaigns run."""
+    """count_only puts every eligible frame on stepped segments, so
+    each record's stepped code is checked against the reference, with
+    and without the timing model, on the fi-scale builds campaigns
+    run."""
     built = default_toolchain().build(name, "fi", version)
     assert_identical(built.module, built.entry, built.args,
                      collect_timing=collect_timing, count_only=True)
+
+
+@pytest.mark.parametrize("version", ["native", "elzar", "swiftr"])
+@pytest.mark.parametrize("name", sorted(ALL))
+def test_count_only_profiles_identical_all_workloads(name, version):
+    """Golden profiles run every eligible frame on stepped segments:
+    the StreamProfile, output and counters of a count_only run match
+    the reference for every workload and build variant."""
+    built = default_toolchain().build(name, "test", version)
+    assert_identical(built.module, built.entry, built.args,
+                     collect_timing=False, count_only=True)
 
 
 @pytest.mark.parametrize("name", ["histogram", "blackscholes"])

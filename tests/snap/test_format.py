@@ -11,6 +11,7 @@ from dataclasses import replace
 import pytest
 
 from repro.cpu import STACK_BASE, Machine, MachineConfig
+from repro.cpu.errors import Trap
 from repro.cpu.interpreter import FaultPlan
 from repro.cpu.resumable import resume_run, run_resumable
 from repro.snap.format import (
@@ -42,6 +43,19 @@ def _capture(module, entry, args, config, at=400):
     return machine, policy.states[0]
 
 
+def _resume(machine, state, plan):
+    """Everything a resumed injection run shows: the trap (the plan may
+    well crash the program) or the output, plus counters, cycles and
+    the eligible stream."""
+    try:
+        result = resume_run(machine, state, (plan,))
+    except Trap as exc:
+        ending = (type(exc).__name__, str(exc))
+    else:
+        ending = (list(result.output), result.cycles)
+    return ending, machine.counters.as_dict(), machine.eligible_executed
+
+
 CONFIGS = [
     MachineConfig(engine="compiled", collect_timing=False),
     MachineConfig(engine="compiled", collect_timing=True),
@@ -63,14 +77,9 @@ class TestRoundTrip:
         revived = deserialize_state(blob, machine)
 
         plan = FaultPlan(target_index=state.eligible + 30, bit=13, lane=1)
-        m1 = Machine(built.module, config)
-        r1 = resume_run(m1, state, (plan,))
-        m2 = Machine(built.module, config)
-        r2 = resume_run(m2, revived, (plan,))
-        assert list(r1.output) == list(r2.output)
-        assert r1.counters.as_dict() == r2.counters.as_dict()
-        assert r1.cycles == r2.cycles
-        assert m1.eligible_executed == m2.eligible_executed
+        runs = [_resume(Machine(built.module, config), s, plan)
+                for s in (state, revived)]
+        assert runs[0] == runs[1]
 
     def test_serialization_is_deterministic(self):
         built = default_toolchain().build("histogram", "test", "elzar")
@@ -143,3 +152,82 @@ class TestMemoryImageValidation:
         revived = deserialize_state(serialize_state(stale, machine), machine)
         assert revived.stack_mem == stale.stack_mem
         assert revived.stack_top == stale.stack_top
+
+
+class TestFrameValidation:
+    """A frame stack the reader's module cannot resume is a format error
+    (a store miss), never an IndexError/KeyError at resume or a run
+    that silently skips part of a block."""
+
+    @pytest.fixture(scope="class")
+    def captured(self):
+        built = default_toolchain().build("histogram", "test", "native")
+        config = MachineConfig(engine="compiled", collect_timing=False)
+        machine, state = _capture(built.module, built.entry, built.args,
+                                  config)
+        return machine, state
+
+    @staticmethod
+    def _with_top(state, **change):
+        top = replace(state.frames[-1], **change)
+        return replace(state, frames=state.frames[:-1] + (top,))
+
+    @pytest.mark.parametrize("change", [
+        {"block": 999},
+        {"fn": "nope"},
+        {"regs": ()},
+        {"i": 10 ** 6},
+    ], ids=["block-999", "unknown-function", "empty-registers",
+            "cursor-past-block"])
+    def test_unresumable_top_frame_rejected(self, captured, change):
+        machine, state = captured
+        blob = serialize_state(self._with_top(state, **change), machine)
+        with pytest.raises(SnapFormatError):
+            deserialize_state(blob, machine)
+
+    def test_times_length_mismatch_rejected(self, captured):
+        machine, state = captured
+        top = state.frames[-1]
+        bad = self._with_top(state, times=top.times + (0.0,))
+        with pytest.raises(SnapFormatError):
+            deserialize_state(serialize_state(bad, machine), machine)
+
+    def test_declared_function_rejected(self, captured):
+        machine, state = captured
+        declared = next(fn.name for fn in machine.module.functions.values()
+                        if fn.is_declaration)
+        bad = self._with_top(state, fn=declared)
+        with pytest.raises(SnapFormatError):
+            deserialize_state(serialize_state(bad, machine), machine)
+
+    def test_cursor_must_be_a_segment_entry(self, captured):
+        machine, state = captured
+        top = state.frames[-1]
+        from repro.cpu.engine import decoded_module
+
+        dmod = decoded_module(machine.module, machine.config.cost_model,
+                              machine.globals_addr)
+        block = dmod.function(
+            machine.module.get_function(top.fn)).blocks[top.block]
+        entries = {0} | {k + 1 for k, cm in enumerate(block.call_meta)
+                         if cm is not None}
+        assert top.i in entries
+        inside = next(i for i in range(1, block.n + 1) if i not in entries)
+        bad = self._with_top(state, i=inside)
+        with pytest.raises(SnapFormatError):
+            deserialize_state(serialize_state(bad, machine), machine)
+
+    def test_suspended_frame_must_sit_on_a_defined_call(self, captured):
+        machine, state = captured
+        top = state.frames[-1]
+        # Push a copy of the top frame on top of itself: the original
+        # becomes a suspended caller whose cursor is no call record.
+        bad = replace(state, frames=state.frames + (top,))
+        with pytest.raises(SnapFormatError):
+            deserialize_state(serialize_state(bad, machine), machine)
+
+    def test_no_frames_rejected(self, captured):
+        machine, state = captured
+        bad = replace(state, frames=())
+        with pytest.raises(SnapFormatError):
+            deserialize_state(serialize_state(bad, machine), machine)
