@@ -15,7 +15,8 @@ reports two checkpointed timings per cell:
   previous process built it);
 * ``warm`` — the steady state every later shard of a campaign sees,
   with the set already in the module cache. The headline ``speedup``
-  is scalar/warm.
+  is scalar/warm; ``converged`` counts the warm injections that ended
+  at exact reconvergence with a later checkpoint.
 
 Correctness is asserted, not assumed: the outcome *list* of every
 checkpointed run must be bit-identical to the from-scratch baseline,
@@ -102,9 +103,10 @@ def bench_cell(name: str, version: str, scale: str = "fi",
 
     # Warm: the set is in the module cache — every later shard of the
     # campaign runs at this rate.
+    stats: Dict[str, int] = {}
     start = time.perf_counter()
     warm = run_plans(module, entry, args, plans, reference, budget,
-                     snap=True)
+                     snap=True, stats=stats)
     warm_seconds = time.perf_counter() - start
     if warm != baseline:
         raise AssertionError(
@@ -126,6 +128,9 @@ def bench_cell(name: str, version: str, scale: str = "fi",
         "warm_seconds": warm_seconds,
         "warm_ips": injections / warm_seconds,
         "speedup": scalar_seconds / warm_seconds,
+        # Warm injections classified at exact reconvergence with a
+        # golden checkpoint (tail not simulated).
+        "converged": stats.get("converged", 0),
     }
 
 
@@ -144,7 +149,8 @@ def bench_checkpoint_injection(scale: str = "fi",
                 print(f"{name:<18} {version:<7} "
                       f"scalar {row['scalar_ips']:6.1f} inj/s  "
                       f"first {row['first_speedup']:5.2f}x  "
-                      f"warm {row['speedup']:5.2f}x")
+                      f"warm {row['speedup']:5.2f}x  "
+                      f"converged {row['converged']}/{injections}")
     if verbose and rows:
         print(f"{'geomean warm speedup':<26} {geomean_speedup(rows):.2f}x "
               f"(late-{int((1 - LATE_FRACTION) * 100)}% sites)")

@@ -58,9 +58,15 @@ from ..faults.models import StreamProfile
 from ..faults.outcomes import Outcome
 from ..ir import types as T
 from ..workloads.common import outputs_match
+from .compiled import (
+    MAX_STATE_MISSES,
+    rebuild_frames,
+    restore_payload,
+    run_stack,
+    state_key,
+)
 from .errors import Trap
 from .interpreter import FaultPlan, Machine, MachineSnapshot
-from .resumable import rebuild_frames, restore_payload, run_stack
 
 #: Outcome <-> wire code for the lane report pipe (enum member order).
 _OUTCOMES: Tuple[Outcome, ...] = tuple(Outcome)
@@ -86,7 +92,8 @@ _NEVER = 1 << 62
 #: corruption drifts instead of dying); the comparator uninstalls
 #: itself so the tail runs without checkpoint-hash overhead. Lanes that
 #: do converge almost always do so at their first or second checkpoint.
-_MAX_DIGEST_MISSES = 4
+#: Shared with the sequential path's exact comparator.
+_MAX_DIGEST_MISSES = MAX_STATE_MISSES
 
 
 class _LaneConverged(BaseException):
@@ -140,21 +147,23 @@ def _state_digest(M: Machine, inst) -> bytes:
     eligible event: the memory image and tops (stale stack bytes above
     the top included, since a later alloca can read them), program
     output, resume position (current instruction + call-site chain),
-    and the register files of every live decoded frame. Deliberately
-    excluded — cache, predictor, timing, and perf counters other than
-    ``corrections``: they never feed back into values or control flow,
-    and outcome classification reads only ``corrections`` (tracked
-    separately in the checkpoint record)."""
+    and the register files of every live decoded frame. Values enter by
+    :func:`repro.cpu.compiled.state_key` (floats by IEEE-754 bits), the
+    same state definition as the sequential path's exact comparator.
+    Deliberately excluded — cache, predictor, timing, and perf counters
+    other than ``corrections``: they never feed back into values or
+    control flow, and outcome classification reads only
+    ``corrections`` (tracked separately in the checkpoint record)."""
     mem = M.memory
     h = blake2b(digest_size=16)
-    for part in mem.image():
-        h.update(part)
+    h.update(mem._heap)
+    h.update(mem._stack)
     meta = (id(inst), mem.heap_top, mem.stack_top, M._depth,
-            tuple(M._call_sites), tuple(M.output))
+            tuple(M._call_sites), state_key(M.output))
     h.update(repr(meta).encode())
     for dfn, regs in M._frames:
         h.update(dfn.fn.name.encode())
-        h.update(repr(regs).encode())
+        h.update(repr(state_key(regs)).encode())
     return h.digest()
 
 

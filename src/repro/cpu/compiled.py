@@ -51,12 +51,13 @@ to their checkpoint values and the plan fires when its stream counter
 reaches ``target_index`` — the same dynamic event a from-scratch run
 hits. A checkpoint captured during a ``count_only`` golden run is a
 superset state, valid for every plan whose per-stream mark has not yet
-passed (:func:`covers`).
+passed (:func:`covers`). The same checkpoints end injected runs early:
+a :class:`Reconvergence` watch stops a run whose state, once its plans
+have fired, equals a later golden checkpoint exactly.
 """
 
 from __future__ import annotations
 
-import copy
 import math
 import time
 from dataclasses import dataclass
@@ -109,6 +110,7 @@ from .interpreter import (
     _scalar_key,
     _to_signed,
     RunResult,
+    copy_components,
 )
 from .memory import HEAP_BASE, STACK_BASE, _FLOAT_FMT
 
@@ -209,8 +211,9 @@ def run_stack(M, stack: List[Frame], executed: int, capture=None):
     ``next_index`` attribute and a ``take(M, stack, executed)`` method;
     every frame then runs stepped, and the trampoline invokes ``take``
     at the first block or post-call entry at or after each threshold.
-    ``take`` must only *copy* state (see :func:`capture_state`) and
-    advance ``next_index``.
+    ``take`` must not modify the run: it copies state (see
+    :func:`capture_state`) or compares it (:class:`Reconvergence`,
+    which may end the run by raising), and advances ``next_index``.
     """
     counters = M.counters
     cd = counters.__dict__
@@ -393,16 +396,17 @@ def capture_state(M, stack: List[Frame], executed: int) -> ResumeState:
             mark=f.mark,
         ))
     heap, stack_mem = mem.image()
+    counters, cache, predictor, timing = copy_components(M)
     return ResumeState(
         heap=heap,
         stack_mem=stack_mem,
         heap_top=mem.heap_top,
         stack_top=mem.stack_top,
         output=tuple(M.output),
-        counters=copy.deepcopy(M.counters),
-        cache=copy.deepcopy(M.cache),
-        predictor=copy.deepcopy(M.predictor),
-        timing=copy.deepcopy(M.timing),
+        counters=counters,
+        cache=cache,
+        predictor=predictor,
+        timing=timing,
         branch_pcs=dict(M._branch_pcs),
         next_pc=M._next_pc,
         executed=executed,
@@ -416,17 +420,14 @@ def capture_state(M, stack: List[Frame], executed: int) -> ResumeState:
 
 def restore_payload(M, state: ResumeState) -> None:
     """Put the machine's architectural state back to the checkpoint.
-    Non-destructive on ``state`` (deep copies), so one deserialized
+    Non-destructive on ``state`` (typed copies), so one deserialized
     checkpoint serves any number of resumes. Leaves the machine with no
     plans armed, no hooks, ``count_only`` off — callers arm what they
     need (:func:`arm_resume`) before :func:`rebuild_frames`."""
     M.memory.install(state.heap, state.stack_mem, state.heap_top,
                      state.stack_top)
     M.output = list(state.output)
-    M.counters = copy.deepcopy(state.counters)
-    M.cache = copy.deepcopy(state.cache)
-    M.predictor = copy.deepcopy(state.predictor)
-    M.timing = copy.deepcopy(state.timing)
+    M.counters, M.cache, M.predictor, M.timing = copy_components(state)
     M._branch_pcs = dict(state.branch_pcs)
     M._next_pc = state.next_pc
     M._executed = state.executed
@@ -544,14 +545,17 @@ def rebuild_frames(M, state: ResumeState) -> List[Frame]:
     return stack
 
 
-def resume_run(M, state: ResumeState, plans: Sequence) -> RunResult:
+def resume_run(M, state: ResumeState, plans: Sequence,
+               capture=None) -> RunResult:
     """Restore a checkpoint, arm ``plans`` mid-run, and execute only
     the tail. Bit-identical to arming the same plans on a fresh machine
-    and running from scratch, for every plan :func:`covers` admits."""
+    and running from scratch, for every plan :func:`covers` admits.
+    ``capture`` is passed to :func:`run_stack` (a
+    :class:`Reconvergence` watch, for injections)."""
     restore_payload(M, state)
     arm_resume(M, plans)
     stack = rebuild_frames(M, state)
-    return _result(M, run_stack(M, stack, state.executed))
+    return _result(M, run_stack(M, stack, state.executed, capture))
 
 
 # --- Checkpoint validity -----------------------------------------------------
@@ -572,6 +576,137 @@ def covers(state: ResumeState, plan) -> bool:
     """True when resuming from ``state`` still reaches ``plan``'s
     dynamic fault site (the stream counter has not passed it)."""
     return stream_mark(state, plan) <= plan.target_index
+
+
+# --- Exact reconvergence -----------------------------------------------------
+
+_F64_BITS = _Struct("<d").pack
+
+#: ``next_index`` of a watch that will never compare again.
+_NEVER = 1 << 62
+
+#: Exact comparisons a faulted run may fail on the golden control path
+#: before its watch gives up (the same budget as the batch engine's
+#: digest comparator): a corruption that has not died within a few
+#: checkpoints drifts for the rest of the run.
+MAX_STATE_MISSES = 4
+
+
+def _value_key(value):
+    cls = value.__class__
+    if cls is float:
+        return _F64_BITS(value)
+    if cls is tuple:
+        return tuple([_value_key(v) for v in value])
+    return value
+
+
+def state_key(values: Sequence) -> tuple:
+    """``values`` (a register file or the output list) in comparable
+    form: every float, scalar or vector lane, is replaced by its
+    IEEE-754 bit pattern, so ``-0.0`` and ``0.0`` differ and NaNs compare
+    by payload. Two register files hold the same state exactly when
+    their keys are equal; the batch engine's digests hash this key."""
+    return tuple([_value_key(v) for v in values])
+
+
+class Reconverged(BaseException):
+    """Raised out of :func:`run_stack` by a :class:`Reconvergence`
+    watch when the faulted run's state equals a golden checkpoint.
+    ``corrected`` is the run's classification flag (its own corrections
+    plus the corrections the golden run still makes)."""
+
+    def __init__(self, corrected: bool):
+        super().__init__(corrected)
+        self.corrected = corrected
+
+
+class Reconvergence:
+    """Capture-protocol watch (:func:`run_stack`'s ``capture``) that
+    ends an injected run once its complete future is the golden run's.
+
+    It targets each checkpoint of ``states`` (a cell's golden
+    checkpoints, sorted by eligible index) later than ``after``; at the
+    block or post-call entry where the golden run took a checkpoint,
+    and only once every armed plan has fired, it compares the run's
+    state with the checkpoint exactly — cheap rejects first
+    (``executed``, eligible index, frame positions and stack marks,
+    memory tops, output length), then the register files and output by
+    :func:`state_key`, then the heap and stack images in place. Cache,
+    predictor, timing and every counter other than ``corrections`` are
+    left out: they never feed values or control flow. A match raises
+    :class:`Reconverged`; ``final_corrections`` is the golden run's
+    total, so the run has corrected iff it already did or the golden
+    run corrects after the checkpoint. A run whose state differs on
+    the golden control path :data:`MAX_STATE_MISSES` times stops being
+    compared. The watch copies nothing."""
+
+    __slots__ = ("states", "k", "next_index", "final_corrections",
+                 "misses")
+
+    def __init__(self, states: Sequence[ResumeState], after: int,
+                 final_corrections: int):
+        self.states = states
+        self.final_corrections = final_corrections
+        self.misses = 0
+        k = 0
+        while k < len(states) and states[k].eligible <= after:
+            k += 1
+        self._aim(k)
+
+    def _aim(self, k: int) -> None:
+        """Target ``states[k]`` next (none once ``k`` is past the end)."""
+        self.k = k
+        self.next_index = (self.states[k].eligible if k < len(self.states)
+                           else _NEVER)
+
+    def take(self, M, stack, executed) -> None:
+        states = self.states
+        eligible = M.eligible_executed
+        k = self.k
+        while k < len(states) and states[k].eligible < eligible:
+            k += 1
+        if k == len(states) or states[k].eligible > eligible:
+            # Overshot: no golden checkpoint sits at this entry.
+            self._aim(k)
+            return
+        self._aim(k + 1)
+        state = states[k]
+        if (state.executed != executed
+                or M._next_plan < len(M.fault_plans)
+                or M._next_checker_plan < len(M._checker_plans)
+                or M._next_mem_plan < len(M._mem_plans)
+                or M._next_branch_plan < len(M._branch_plans)):
+            return
+        if self._same(M, stack, state):
+            corrected = (M.counters.corrections > 0
+                         or self.final_corrections
+                         > state.counters.corrections)
+            raise Reconverged(corrected)
+        self.misses += 1
+        if self.misses >= MAX_STATE_MISSES:
+            self.next_index = _NEVER
+
+    @staticmethod
+    def _same(M, stack, state: ResumeState) -> bool:
+        mem = M.memory
+        frames = state.frames
+        if (len(stack) != len(frames) or mem.heap_top != state.heap_top
+                or mem.stack_top != state.stack_top
+                or len(mem._stack) != len(state.stack_mem)
+                or len(M.output) != len(state.output)):
+            return False
+        for f, fs in zip(stack, frames):
+            dfn = f.dfn
+            if (f.i != fs.i or f.mark != fs.mark or dfn.fn.name != fs.fn
+                    or f.block is not dfn.blocks[fs.block]):
+                return False
+        for f, fs in zip(stack, frames):
+            if state_key(f.regs) != state_key(fs.regs):
+                return False
+        return (state_key(M.output) == state_key(state.output)
+                and mem._heap == state.heap
+                and mem._stack == state.stack_mem)
 
 
 # --- Segment compiler ---------------------------------------------------------

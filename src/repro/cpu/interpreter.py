@@ -16,7 +16,6 @@ injection rule — is flipped.
 
 from __future__ import annotations
 
-import copy
 import math
 import struct
 import sys
@@ -317,6 +316,22 @@ def _compute_static(inst: Instruction, costs: C.CostModel) -> tuple:
     else:
         uops = costs.scalar_uops(opcode)
     return (is_avx, is_vec_alu, uops)
+
+
+def copy_components(src) -> tuple:
+    """Independent typed copies of ``src``'s ``(counters, cache,
+    predictor, timing)`` — the four mutable model components every
+    snapshot, checkpoint and restore carries. ``src`` is a
+    :class:`Machine`, :class:`MachineSnapshot` or checkpoint state;
+    absent components (cache or timing model off) stay None."""
+    cache = src.cache
+    timing = src.timing
+    return (
+        src.counters.copy(),
+        cache.copy() if cache is not None else None,
+        src.predictor.copy(),
+        timing.copy() if timing is not None else None,
+    )
 
 
 @dataclass
@@ -796,16 +811,17 @@ class Machine:
         """
         mem = self.memory
         heap, stack = mem.image()
+        counters, cache, predictor, timing = copy_components(self)
         return MachineSnapshot(
             heap=heap,
             stack=stack,
             heap_top=mem.heap_top,
             stack_top=mem.stack_top,
             output=list(self.output),
-            counters=copy.deepcopy(self.counters),
-            cache=copy.deepcopy(self.cache),
-            predictor=copy.deepcopy(self.predictor),
-            timing=copy.deepcopy(self.timing),
+            counters=counters,
+            cache=cache,
+            predictor=predictor,
+            timing=timing,
             branch_pcs=dict(self._branch_pcs),
             next_pc=self._next_pc,
             executed=self._executed,
@@ -836,10 +852,8 @@ class Machine:
         self.memory.install(snap.heap, snap.stack, snap.heap_top,
                             snap.stack_top)
         self.output = list(snap.output)
-        self.counters = copy.deepcopy(snap.counters)
-        self.cache = copy.deepcopy(snap.cache)
-        self.predictor = copy.deepcopy(snap.predictor)
-        self.timing = copy.deepcopy(snap.timing)
+        (self.counters, self.cache, self.predictor,
+         self.timing) = copy_components(snap)
         self._branch_pcs = dict(snap.branch_pcs)
         self._next_pc = snap.next_pc
         self._executed = snap.executed

@@ -37,6 +37,12 @@ import warnings
 from dataclasses import dataclass, replace
 from typing import Callable, List, Optional, Sequence
 
+from ..cpu.compiled import (
+    Reconverged,
+    Reconvergence,
+    resume_run,
+    run_resumable,
+)
 from ..cpu.errors import DetectedError, HangError, Trap
 from ..cpu.interpreter import FaultPlan, Machine, MachineConfig
 from ..ir.module import Module
@@ -344,6 +350,8 @@ class InjectionSession:
         self.snapshot = self.machine.snapshot()
         self._trace = None  # lockstep trace, built on first batched use
         self._checkpoints = None  # CheckpointSet, attached per run_plans
+        #: Injections classified at exact reconvergence (tail skipped).
+        self.converged = 0
 
     def attach_checkpoints(self, cset) -> None:
         """Resume injections from ``cset``'s mid-run checkpoints (a
@@ -356,23 +364,38 @@ class InjectionSession:
         """One injection on the reused machine, classified per Table I.
 
         With checkpoints attached, restores the latest checkpoint at or
-        before the plan's fault site and executes only the tail; plans
-        whose site precedes every checkpoint run from scratch. Either
-        way the outcome is bit-identical (tests/snap pins it)."""
+        before the plan's fault site (or, for plans whose site precedes
+        every checkpoint, the session snapshot) and executes the tail
+        under a :class:`repro.cpu.compiled.Reconvergence` watch: once
+        the plan has fired and the run's state equals a later golden
+        checkpoint exactly, its future is the golden run's, so it
+        classifies there (MASKED or CORRECTED) instead of simulating to
+        the end. Either way the outcome is bit-identical (tests/snap
+        pins it)."""
         machine = self.machine
-        state = (self._checkpoints.nearest(plan)
-                 if self._checkpoints is not None else None)
+        cset = self._checkpoints
         try:
-            if state is not None:
-                from ..cpu.resumable import resume_run
-
-                result = resume_run(machine, state, (plan,))
-            else:
+            if cset is None:
                 machine.restore(self.snapshot)
                 machine.arm_fault(plan)
                 result = machine.run(self.entry, self.args)
+            else:
+                state = cset.nearest(plan)
+                watch = Reconvergence(
+                    cset.states, -1 if state is None else state.eligible,
+                    cset.final_corrections)
+                if state is not None:
+                    result = resume_run(machine, state, (plan,), watch)
+                else:
+                    machine.restore(self.snapshot)
+                    machine.arm_fault(plan)
+                    result = run_resumable(machine, self.entry, self.args,
+                                           watch)
         except Trap as exc:
             return trap_outcome(exc)
+        except Reconverged as exc:
+            self.converged += 1
+            return Outcome.CORRECTED if exc.corrected else Outcome.MASKED
         if not outputs_match(result.output, list(self.reference), self.rtol):
             return Outcome.SDC
         if machine.counters.corrections > 0:
@@ -519,6 +542,7 @@ def run_plans(
         cset = _cell_checkpoints(module, entry, args, budget,
                                  fault_eligible, fault_model, engine, snap)
     session.attach_checkpoints(cset)
+    converged_before = session.converged
     batched = (batch > 1 and len(plans) > 1
                and engine != "reference"
                and hasattr(os, "fork"))
@@ -528,6 +552,9 @@ def run_plans(
             outcomes.append(session.inject(plan))
             if tick is not None:
                 tick()
+        if stats is not None:
+            stats["converged"] = (stats.get("converged", 0)
+                                  + session.converged - converged_before)
         return outcomes
 
     from ..cpu.batch import run_batch
@@ -578,5 +605,6 @@ def run_plans(
         stats["lanes_degraded"] = stats.get("lanes_degraded", 0) + degraded
         stats["forked"] = stats.get("forked", 0) + bstats["forked"]
         stats["converged"] = (stats.get("converged", 0)
-                              + bstats["converged"])
+                              + bstats["converged"]
+                              + session.converged - converged_before)
     return outcomes

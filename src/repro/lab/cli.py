@@ -168,7 +168,7 @@ def _run_cells(spec: Dict, store: ResultStore, events: EventBus,
     cells: List[Dict] = []
     totals = {"shards_total": 0, "shards_from_store": 0,
               "injections_executed": 0, "injections_from_store": 0,
-              "batch_lanes_degraded": 0}
+              "batch_lanes_degraded": 0, "injections_converged": 0}
     toolchain = default_toolchain()
     for name in spec["benchmarks"]:
         for version in spec["versions"]:
@@ -216,12 +216,14 @@ def _run_cells(spec: Dict, store: ResultStore, events: EventBus,
                 "injections_executed": info.injections_executed,
                 "injections_from_store": info.injections_from_store,
                 "batch_lanes_degraded": info.batch_lanes_degraded,
+                "injections_converged": info.injections_converged,
             })
             totals["shards_total"] += info.shards_total
             totals["shards_from_store"] += info.shards_from_store
             totals["injections_executed"] += info.injections_executed
             totals["injections_from_store"] += info.injections_from_store
             totals["batch_lanes_degraded"] += info.batch_lanes_degraded
+            totals["injections_converged"] += info.injections_converged
     return rows, cells, totals
 
 
@@ -330,7 +332,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     print(f"-- store {store_path}")
     print(f"-- store-hits: {totals['shards_from_store']}/"
           f"{totals['shards_total']} shards ({hit_rate:.0%}); "
-          f"executed {totals['injections_executed']} new injection(s), "
+          f"executed {totals['injections_executed']} new injection(s) "
+          f"({totals['injections_converged']} stopped at reconvergence), "
           f"reused {totals['injections_from_store']}")
 
     if args.json:

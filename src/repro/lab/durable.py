@@ -101,6 +101,11 @@ class LabRunInfo:
     #: lanes run in *this* process are counted — forked shard workers
     #: report outcome counts alone, so their degradations stay local.
     batch_lanes_degraded: int = 0
+    #: Injections classified at exact reconvergence with a golden
+    #: checkpoint (their tails were not simulated), sequential and
+    #: batched lanes together; counted in this process only, like
+    #: ``batch_lanes_degraded``.
+    injections_converged: int = 0
 
 
 @dataclass
@@ -297,11 +302,13 @@ def run_durable_campaign(
                           if stopper is not None else None),
             durable=durable,
             batch_lanes_degraded=lane_stats.get("lanes_degraded", 0),
+            injections_converged=lane_stats.get("converged", 0),
         )
         events.emit(
             "campaign-finished", workload=workload, version=version,
             injections=result.total, executed=info.injections_executed,
             from_store=info.injections_from_store,
             lanes_degraded=info.batch_lanes_degraded,
+            converged=info.injections_converged,
         )
         return DurableCampaign(result=result, info=info, spec=spec)

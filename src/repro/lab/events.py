@@ -40,7 +40,10 @@ Event kinds emitted today:
 ``store-stale``        purged (stale shard rows dropped for this cell)
 ``store-disabled``     reason (unkeyable eligibility predicate)
 ``adaptive-stop``      injections, halfwidth, target
-``campaign-finished``  workload, version, injections, executed, from_store
+``campaign-finished``  workload, version, injections, executed, from_store,
+                       lanes_degraded, converged (injections classified
+                       at exact reconvergence, in this process; the
+                       cluster coordinator omits both)
 ================== ====================================================
 """
 
@@ -245,4 +248,6 @@ class ConsoleReporter:
                 f"[lab] {self._label}: {data.get('injections')} injections "
                 f"counted, {data.get('executed')} executed, "
                 f"{data.get('from_store')} from store"
+                + (f", {data['converged']} converged"
+                   if data.get("converged") else "")
             )

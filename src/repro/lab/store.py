@@ -53,7 +53,9 @@ from ..toolchain.digest import _canonical, digest_of  # noqa: F401
 #:    old divergent cell recipes can never be mixed with new ones.
 LAB_SCHEMA = 3
 
+#: Created in one transaction (one commit, not one per statement).
 _SCHEMA_SQL = """
+BEGIN;
 CREATE TABLE IF NOT EXISTS goldens (
     cell_key   TEXT PRIMARY KEY,
     digest     TEXT NOT NULL,
@@ -78,6 +80,7 @@ CREATE TABLE IF NOT EXISTS runs (
     status  TEXT NOT NULL,
     spec    TEXT NOT NULL
 );
+COMMIT;
 """
 
 
@@ -104,7 +107,12 @@ class ResultStore:
     sequential invocations and between concurrent processes (SQLite
     locking; all writes are idempotent upserts of deterministic data).
     Only the parent/orchestrator process touches the store — forked
-    shard workers return counts over a pipe."""
+    shard workers return counts over a pipe.
+
+    File stores run in write-ahead-log mode: a commit appends to the
+    ``-wal`` sidecar instead of creating and deleting a rollback
+    journal. ``synchronous`` stays at SQLite's default, so a committed
+    row is as durable as before."""
 
     def __init__(self, path: str = ":memory:"):
         self.path = path
@@ -112,8 +120,14 @@ class ResultStore:
             parent = os.path.dirname(os.path.abspath(path))
             os.makedirs(parent, exist_ok=True)
         self._conn = sqlite3.connect(path, timeout=30.0)
+        if path != ":memory:":
+            self._conn.execute("PRAGMA journal_mode=WAL")
         self._conn.executescript(_SCHEMA_SQL)
-        self._conn.commit()
+
+    @property
+    def journal_mode(self) -> str:
+        """SQLite's journal mode for this store (``wal`` for files)."""
+        return self._conn.execute("PRAGMA journal_mode").fetchone()[0]
 
     def close(self) -> None:
         self._conn.close()

@@ -173,6 +173,7 @@ def result_summary(outcome) -> Dict:
         "shards_from_store": info.shards_from_store,
         "shards_executed": info.shards_executed,
         "batch_lanes_degraded": info.batch_lanes_degraded,
+        "injections_converged": info.injections_converged,
         "stopped_early": info.stopped_early,
         "ci_halfwidth": info.ci_halfwidth,
         "spec_key": outcome.spec.spec_key if outcome.spec else None,

@@ -35,6 +35,10 @@ class CheckpointSet:
     model: str
     states: Tuple[ResumeState, ...]
     from_cache: bool
+    #: The golden run's final ``corrections`` count: what an injected
+    #: run that reconverges onto a checkpoint will still correct is
+    #: this minus the checkpoint's count (:class:`Reconvergence`).
+    final_corrections: int
 
     @property
     def marks(self) -> List[int]:
@@ -98,8 +102,11 @@ def build_checkpoints(module, entry: str, args: Sequence, *,
 
     store = store if store is not None else SnapStore()
     loaded = store.load(key) if store.enabled else None
-    if loaded is not None:
-        blobs, _meta = loaded
+    # A set stored without the golden run's final corrections cannot
+    # classify a reconverged injection: it reads as a miss.
+    if loaded is not None and isinstance(
+            loaded[1].get("final_corrections"), int):
+        blobs, meta = loaded
         try:
             states = tuple(
                 deserialize_state(blob, machine) for blob in blobs
@@ -108,7 +115,8 @@ def build_checkpoints(module, entry: str, args: Sequence, *,
             states = None
         if states is not None:
             cset = CheckpointSet(key=key, model=model, states=states,
-                                 from_cache=True)
+                                 from_cache=True,
+                                 final_corrections=meta["final_corrections"])
             module._golden_cache[cache_slot] = cset
             return cset
 
@@ -119,7 +127,8 @@ def build_checkpoints(module, entry: str, args: Sequence, *,
     run_resumable(machine, entry, args, capture=policy)
     states = tuple(sorted(policy.states, key=lambda s: s.eligible))
     cset = CheckpointSet(key=key, model=model, states=states,
-                         from_cache=False)
+                         from_cache=False,
+                         final_corrections=machine.counters.corrections)
     module._golden_cache[cache_slot] = cset
     if store.enabled and states:
         blobs = [serialize_state(s, machine) for s in states]
@@ -129,5 +138,6 @@ def build_checkpoints(module, entry: str, args: Sequence, *,
             "model": model,
             "budget": budget,
             "marks": cset.marks,
+            "final_corrections": cset.final_corrections,
         })
     return cset

@@ -144,6 +144,21 @@ class TestCampaignCommand:
         assert batched["spec"]["batch"] == 8
         assert batched["store"]["injections_executed"] == 20
 
+    def test_json_reports_converged_injections(self, lab_store, tmp_path,
+                                               capsys):
+        # Injections classified at exact reconvergence are counted per
+        # cell and in the store totals.
+        out = str(tmp_path / "elzar.json")
+        assert main(["campaign", "--scale", "test", "--quiet",
+                     "--benchmarks", "histogram", "--versions", "elzar",
+                     "--injections", "20", "--json", out]) == 0
+        capsys.readouterr()
+        report = _report(out)
+        cell = report["cells"][0]
+        assert cell["injections_converged"] > 0
+        assert (report["store"]["injections_converged"]
+                == cell["injections_converged"])
+
     def test_batch_rejects_nonpositive(self, lab_store, capsys):
         with pytest.raises(SystemExit) as exc:
             _campaign("--batch", "0")

@@ -96,3 +96,18 @@ class TestDefaultPath:
         monkeypatch.delenv("REPRO_LAB_STORE", raising=False)
         monkeypatch.setenv("XDG_CACHE_HOME", "/tmp/xdg-cache")
         assert default_store_path() == "/tmp/xdg-cache/repro-lab/store.sqlite"
+
+
+class TestJournal:
+    def test_file_stores_use_wal(self, tmp_path):
+        path = tmp_path / "lab.sqlite"
+        store = ResultStore(str(path))
+        assert store.journal_mode == "wal"
+        store.put_shard("s", "c", 0, 1, Counter(), 0.1)
+        store.close()
+        reopened = ResultStore(str(path))
+        assert reopened.journal_mode == "wal"
+        assert len(reopened.shard_rows()) == 1
+
+    def test_memory_stores_stay_in_memory(self):
+        assert ResultStore().journal_mode == "memory"

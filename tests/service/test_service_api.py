@@ -65,6 +65,8 @@ class TestLifecycle:
         assert record["result"]["counts"] == \
             reference["cells"][0]["counts"]
         assert record["result"]["injections_used"] == 40
+        # Counted in-process only; forked shard workers keep theirs.
+        assert record["result"]["injections_converged"] >= 0
         assert record["tenant"] == "alice"
 
     def test_resubmit_after_completion_is_pure_store_hit(self, service):

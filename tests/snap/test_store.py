@@ -130,7 +130,22 @@ class TestBuilderStoreSharing:
         assert warm.from_cache
         assert warm.key == cset.key
         assert warm.marks == cset.marks
+        assert warm.final_corrections == cset.final_corrections
         assert store.stats.hits == 1
+
+        # A set stored without the golden run's final corrections
+        # cannot classify a reconverged injection: it reads as a miss
+        # and is recaptured (and restored with the field).
+        blobs, meta = store.load(cset.key)
+        del meta["final_corrections"]
+        store.store(cset.key, blobs, meta)
+        built.module._golden_cache.pop(("snap-set", cset.key))
+        again = build_checkpoints(built.module, built.entry, built.args,
+                                  budget=budget, model="register-bitflip",
+                                  eligible=profile.eligible, store=store)
+        assert not again.from_cache
+        assert again.final_corrections == cset.final_corrections
+        assert "final_corrections" in store.load(cset.key)[1]
 
     def test_short_runs_and_unkeyable_predicates_skip(self, tmp_path):
         built = _built()
